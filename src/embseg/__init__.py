@@ -17,7 +17,7 @@ from .corpus import (
     reassemble,
     split_fragments,
 )
-from .decoder import BeamParams, Hypothesis, beam_search, extend, hyp_logp_update, segment_sentence, word_logp
+from .decoder import BeamParams, Hypothesis, beam_search, extend, segment_sentence, word_logp
 from .evaluate import AlignmentError, EvalReport, WordImprovementRow, score, word_improvement_report, word_spans
 from .lexicon import Lexicon, SubsampleTable
 from .sampler import (
@@ -65,7 +65,6 @@ __all__ = [
     "Hypothesis",
     "beam_search",
     "extend",
-    "hyp_logp_update",
     "segment_sentence",
     "word_logp",
     "AlignmentError",

@@ -5,7 +5,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .corpus import read_segmented_corpus
 from .decoder import BeamParams, segment_sentence
@@ -49,7 +48,6 @@ def _add_segment(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--max-word-len", type=int, default=5)
     p.add_argument("--window", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_segment)
 
 
@@ -105,6 +103,8 @@ def _read_token_lines(path: str) -> list[list[str]]:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.no_cache and not args.cache:
         raise ValueError("train writes a cache file: pass --cache PATH or --no-cache")
+    if args.dump_samples and args.threads > 1:
+        raise ValueError("--dump-samples records samples from one thread only: pass --threads 1")
     seed = args.seed if args.seed is not None else time.time_ns() % (2**31)
     config = TrainerConfig(
         epsilon=args.epsilon, mu=args.mu, n_noise=args.neg, dim=args.dim,
@@ -178,7 +178,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     lexicon, cache = _load_artifacts(args)
     params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len)
     lines = _read_lines(args.input)
-    baselines: list[list[str]] | None = None
+    baselines: list[list[str] | None] = [None] * len(lines)
     if args.baseline:
         baselines = _read_token_lines(args.baseline)
         if len(baselines) != len(lines):
@@ -186,19 +186,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 f"--baseline has {len(baselines)} lines, --input has {len(lines)}"
             )
 
-    def one(idx_line: tuple[int, str]) -> str:
-        idx, line = idx_line
-        base = baselines[idx] if baselines is not None else None
-        return segment_sentence(
-            line, lexicon, cache, params,
-            window=args.window, baseline_tokens=base,
-        )
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            out_lines = list(pool.map(one, enumerate(lines)))
-    else:
-        out_lines = [one(pair) for pair in enumerate(lines)]
+    out_lines = [
+        segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
+        for line, base in zip(lines, baselines)
+    ]
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in out_lines:
             fh.write(line + "\n")

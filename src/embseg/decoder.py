@@ -6,15 +6,25 @@ still fits the word-length bound) or closes it as a dictionary word and
 starts a fresh buffer.  Hypotheses are ranked by the mean, over flushed
 words, of the mean cosine between each word and up to `window` of its
 predecessors; the begin marker contributes nothing, the end marker is
-scored like a word.  When the whole beam dies the search restarts with a
-larger beam and word-length bound, so every input eventually gets some
-segmentation (its baseline tokens, or single characters, in the worst
-case).
+scored like a word.  A hypothesis's rank is computed once, when it
+flushes a word, and carried unchanged while its buffer grows.
+
+When the whole beam dies the search restarts with a larger beam and
+word-length bound, so every input eventually gets some segmentation (its
+baseline tokens, or single characters, in the worst case).  The growth
+schedule is fixed by BeamParams; after the first failure one pass over
+the fragment's dictionary lattice finds the smallest word-length bound
+at which any tiling exists.  Rounds below that bound cannot succeed, so
+they are counted and advance the schedule without running the search,
+and a fragment with no tiling at all gives up at once.  Every round that
+is run runs at the same beam size and bound as it would if none were
+skipped, so the output is the same.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from .corpus import BOS, EOS, FRAGMENT, Piece, fragment_texts, is_word_char, reassemble, split_fragments
 from .lexicon import Lexicon
@@ -24,7 +34,6 @@ __all__ = [
     "BeamParams",
     "Hypothesis",
     "word_logp",
-    "hyp_logp_update",
     "recompute_mean_logp",
     "extend",
     "beam_search",
@@ -61,17 +70,31 @@ class Hypothesis(NamedTuple):
     sum_logp: float             # sum of per-word log probabilities
     recent: tuple[int, ...]     # last min(window, word_count) ids, oldest first
     lens: tuple[int, ...]       # real-word lengths, for deterministic tie-breaks
+    rank: tuple = ()            # sort key, see _rank_key; () until first extended
 
     def mean_logp(self) -> float:
         """Current score: mean log probability over scored words."""
         return self.sum_logp / (self.word_count - 1) if self.word_count > 1 else 0.0
 
 
-def _rank_key(h: Hypothesis):
-    # Primary: score, quantized so that differences under 1e-9 tie.  Ties
-    # prefer fewer words, then longer early words, then any stable order.
+def _rank_key(h: Hypothesis) -> tuple:
+    """Sort key of a hypothesis, computed from scratch; smaller ranks first.
+
+    Primary: score, quantized so that differences under 1e-9 tie.  Ties
+    prefer fewer words, then longer early words, then the word ids.  The
+    key depends on the flushed words only: at one character position the
+    flushed words also fix the buffer, so no two candidates share a key.
+    """
     neg_lens = tuple(-x for x in h.lens)
-    return (-round(h.mean_logp() * _SCORE_QUANTUM), h.word_count, neg_lens, h.seg, h.buf)
+    return (-round(h.mean_logp() * _SCORE_QUANTUM), h.word_count, neg_lens, h.seg)
+
+
+def _flushed_rank(sum_logp: float, word_count: int, neg_lens: tuple[int, ...], seg: tuple[int, ...]) -> tuple:
+    # _rank_key of a hypothesis that has just flushed a word (word_count >= 2)
+    return (-round(sum_logp / (word_count - 1) * _SCORE_QUANTUM), word_count, neg_lens, seg)
+
+
+_carried_rank = attrgetter("rank")
 
 
 def word_logp(word: int, recent: Sequence[int], cache: SimilarityCache, window: int) -> float:
@@ -83,19 +106,6 @@ def word_logp(word: int, recent: Sequence[int], cache: SimilarityCache, window: 
     if not preds:
         return 0.0
     return sum(cache.similarity(word, p) for p in preds) / len(preds)
-
-
-def hyp_logp_update(mean_logp: float, word_count: int, new_logps: Iterable[float]) -> float:
-    """Running-mean update when new words enter a segmentation.
-
-    Equivalent to recomputing the mean from scratch: the old mean is
-    unscaled by its word count, the new per-word terms are added, and the
-    sum is rescaled.  The begin marker is never scored, hence the -1s.
-    """
-    new_logps = list(new_logps)
-    total = mean_logp * (word_count - 1) + sum(new_logps)
-    count = word_count + len(new_logps)
-    return total / (count - 1) if count > 1 else 0.0
 
 
 def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int) -> float:
@@ -124,19 +134,22 @@ def extend(
     """Successor hypotheses for one more character.
 
     Candidate A appends the character to the buffer while the buffer stays
-    within max_word_len; candidate B flushes the buffer as a word (only if
-    it is in the dictionary) and opens a fresh buffer with the character.
+    within max_word_len and keeps the rank; candidate B flushes the buffer
+    as a word (only if it is in the dictionary), opens a fresh buffer with
+    the character and extends the rank by the new word.
     """
     out: list[Hypothesis] = []
+    rank = h.rank or _rank_key(h)
     if len(h.buf) + 1 <= max_word_len:
-        out.append(h._replace(buf=h.buf + ch))
+        out.append(Hypothesis(h.seg, h.buf + ch, h.word_count, h.sum_logp, h.recent, h.lens, rank))
     if h.buf and h.buf in lexicon:
         wid = lexicon.id_of(h.buf)
-        logp = word_logp(wid, h.recent, cache, window)
-        recent = (h.recent + (wid,))[-window:]
+        seg = h.seg + (wid,)
+        count = h.word_count + 1
+        total = h.sum_logp + word_logp(wid, h.recent, cache, window)
         out.append(Hypothesis(
-            h.seg + (wid,), ch, h.word_count + 1,
-            h.sum_logp + logp, recent, h.lens + (len(h.buf),),
+            seg, ch, count, total, (h.recent + (wid,))[-window:], h.lens + (len(h.buf),),
+            _flushed_rank(total, count, rank[2] + (-len(h.buf),), seg),
         ))
     return out
 
@@ -170,7 +183,7 @@ def beam_search(
             cands.extend(extend(h, ch, lexicon, max_word_len, cache, window))
         if not cands:
             return (None, []) if return_finals else None
-        cands.sort(key=_rank_key)
+        cands.sort(key=_carried_rank)
         beam = cands[:beam_size]
     # Past the last character the buffer must close as a word, and the end
     # marker joins the segmentation as a scored word of its own.
@@ -182,17 +195,38 @@ def beam_search(
         logp_w = word_logp(wid, h.recent, cache, window)
         recent = (h.recent + (wid,))[-window:]
         logp_e = word_logp(eos, recent, cache, window)
+        seg = h.seg + (wid, eos)
+        count = h.word_count + 2
+        total = h.sum_logp + logp_w + logp_e
         finals.append(Hypothesis(
-            h.seg + (wid, eos), "", h.word_count + 2,
-            h.sum_logp + logp_w + logp_e,
-            (recent + (eos,))[-window:], h.lens + (len(h.buf),),
+            seg, "", count, total, (recent + (eos,))[-window:], h.lens + (len(h.buf),),
+            _flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg),
         ))
     if not finals:
         return (None, finals) if return_finals else None
-    best = min(finals, key=_rank_key)
+    best = min(finals, key=_carried_rank)
     words = [lexicon.word_of(i) for i in best.seg[1:-1]]
     result = (words, best.mean_logp())
     return (result, finals) if return_finals else result
+
+
+def _min_tiling_len(fragment: str, lexicon: Lexicon) -> int | None:
+    """Smallest word-length bound at which the dictionary tiles `fragment`,
+    or None if no tiling exists at any bound.
+
+    need[j] is the smallest possible longest word over the tilings of
+    fragment[:j]; a word ending at j is at most lexicon.longest long.
+    """
+    n = len(fragment)
+    never = n + 1
+    need = [0] + [never] * n
+    for j in range(1, n + 1):
+        best = never
+        for i in range(max(0, j - lexicon.longest), j):
+            if need[i] < best and j - i < best and fragment[i:j] in lexicon:
+                best = max(need[i], j - i)
+        need[j] = best
+    return need[n] if need[n] < never else None
 
 
 def _decode_with_growth(
@@ -206,13 +240,19 @@ def _decode_with_growth(
     m = params.max_word_len
     rounds = 0
     covered_failures = 0
+    need = 0  # beam_search fails below this word-length bound; found on the first failure
     while True:
-        res = beam_search(
-            fragment, lexicon, cache,
-            beam_size=k, max_word_len=m, window=window,
-        )
-        if res is not None:
-            return res[0]
+        if m >= need:
+            res = beam_search(
+                fragment, lexicon, cache,
+                beam_size=k, max_word_len=m, window=window,
+            )
+            if res is not None:
+                return res[0]
+            if rounds == 0:
+                need = _min_tiling_len(fragment, lexicon)
+                if need is None:
+                    return None  # every round of the schedule would fail
         rounds += 1
         if params.retry_cap is not None:
             if rounds > params.retry_cap:

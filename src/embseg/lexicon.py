@@ -29,6 +29,7 @@ class Lexicon:
         if len(self._index) != len(self._words):
             raise ValueError("duplicate word in lexicon")
         self.total_tokens = int(self._counts.sum())
+        self.longest = max(map(len, self._words))  # characters in the longest entry
 
     @classmethod
     def from_sentences(cls, sentences: Iterable[list[str]], add_markers: bool = True) -> "Lexicon":

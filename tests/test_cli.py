@@ -140,22 +140,6 @@ def test_segment_without_cache_is_identical(trained):
     assert (workdir / "nocache.txt").read_bytes() == (workdir / "out.txt").read_bytes()
 
 
-def test_segment_threads_identical(trained):
-    workdir, _ = trained
-    rc, _, _ = _run([
-        "segment",
-        "--input", str(workdir / "raw.txt"),
-        "--dict", str(workdir / "dict.tsv"),
-        "--emb", str(workdir / "emb.txt"),
-        "--cache", str(workdir / "sim.bin"),
-        "--baseline", str(workdir / "base.txt"),
-        "--threads", "2",
-        "--out", str(workdir / "threaded.txt"),
-    ])
-    assert rc == 0
-    assert (workdir / "threaded.txt").read_bytes() == (workdir / "out.txt").read_bytes()
-
-
 def test_train_requires_cache_decision(workdir):
     rc, _, err = _run([
         "train",
@@ -204,6 +188,23 @@ def test_dump_samples_tsv(workdir):
         assert label in ("positive", "negative")
         assert source in ("ctx_pos", "ctx_neg", "inword_neg", "noise_neg")
         float(weight)
+
+
+def test_dump_samples_rejects_threads(workdir):
+    dump = workdir / "threaded_samples.tsv"
+    rc, _, err = _run([
+        "train",
+        "--corpus", str(workdir / "base.txt"),
+        "--dict", str(workdir / "d5.tsv"),
+        "--emb", str(workdir / "e5.txt"),
+        "--no-cache",
+        "--threads", "2",
+        "--dump-samples", str(dump),
+    ])
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "--threads 1" in err
+    assert not dump.exists()
 
 
 def test_segment_artifact_mismatch(workdir, trained, tmp_path):

@@ -1,15 +1,21 @@
 """Beam decoder: scoring, ranking, growth, and fallbacks."""
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from embseg import decoder
 from embseg.corpus import BOS, EOS
 from embseg.decoder import (
     BeamParams,
     Hypothesis,
     _carve_baseline,
+    _decode_with_growth,
+    _min_tiling_len,
+    _rank_key,
     beam_search,
     extend,
-    hyp_logp_update,
     recompute_mean_logp,
     segment_sentence,
     word_logp,
@@ -46,12 +52,6 @@ def test_word_logp_window_and_empty():
     assert word_logp(w, ids, cache, 4) == pytest.approx((0.1 + 0.2 + 0.3 + 0.4) / 4)
     assert word_logp(w, [], cache, 4) == 0.0
     assert word_logp(w, ids, cache, 10) == pytest.approx((9.9 + 0.1 + 0.2 + 0.3 + 0.4) / 5)
-
-
-def test_hyp_logp_update_running_mean():
-    assert hyp_logp_update(0.0, 1, [0.5]) == pytest.approx(0.5)
-    assert hyp_logp_update(0.5, 2, [0.1, 0.3]) == pytest.approx(0.3)
-    assert hyp_logp_update(0.0, 1, []) == 0.0
 
 
 def test_extend_candidates():
@@ -200,6 +200,122 @@ def test_growth_terminates_without_retry_cap():
     lex = Lexicon((BOS, EOS, "q"), (1, 1, 1))
     cache = SimilarityCache(init_embeddings(3, 4, np.random.default_rng(1)))
     assert segment_sentence("zz", lex, cache, BeamParams()) == "z z"
+
+
+def _reference_growth(fragment, lex, cache, params, window):
+    """The growth schedule with every round run, none skipped."""
+    k, m = params.beam_size, params.max_word_len
+    rounds = covered_failures = 0
+    while True:
+        res = beam_search(fragment, lex, cache, beam_size=k, max_word_len=m, window=window)
+        if res is not None:
+            return res[0]
+        rounds += 1
+        if params.retry_cap is not None:
+            if rounds > params.retry_cap:
+                return None
+        elif m >= len(fragment):
+            covered_failures += 1
+            if covered_failures >= 4:
+                return None
+        k += params.beam_step
+        m += params.len_step
+
+
+@st.composite
+def _decode_cases(draw):
+    words = sorted(draw(st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=10)))
+    # mostly dictionary words, with some characters that break a tiling ("x" is never a word)
+    pieces = draw(st.lists(
+        st.sampled_from(words) | st.text(alphabet="abcx", min_size=1, max_size=2),
+        min_size=1, max_size=5,
+    ))
+    fragment = "".join(pieces)[:12]
+    lex = _make_lexicon(words)
+    if draw(st.booleans()):
+        cache = SimilarityCache(np.ones((len(lex), 4)))  # all ties: structure decides
+    else:
+        cache = SimilarityCache(init_embeddings(len(lex), 6, np.random.default_rng(draw(st.integers(0, 999)))))
+    params = BeamParams(
+        beam_size=draw(st.integers(1, 3)),
+        max_word_len=draw(st.integers(1, 3)),
+        beam_step=draw(st.integers(1, 3)),
+        len_step=draw(st.integers(1, 2)),
+        retry_cap=draw(st.none() | st.integers(0, 2)),
+    )
+    return fragment, lex, cache, params, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_growth_skipping_matches_every_round(case):
+    fragment, lex, cache, params, window = case
+    want = _reference_growth(fragment, lex, cache, params, window)
+    assert _decode_with_growth(fragment, lex, cache, params, window) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_carried_rank_equals_recomputed(case):
+    fragment, lex, cache, params, window = case
+    bos = lex.id_of(BOS)
+    beam = [Hypothesis((bos,), "", 1, 0.0, (bos,), ())]
+    for ch in fragment:
+        cands = [c for h in beam for c in extend(h, ch, lex, params.max_word_len, cache, window)]
+        for c in cands:
+            assert c.rank == _rank_key(c)
+        beam = sorted(cands, key=_rank_key)[:params.beam_size]
+    _, finals = beam_search(
+        fragment, lex, cache, beam_size=params.beam_size,
+        max_word_len=params.max_word_len, window=window, return_finals=True,
+    )
+    for h in finals:
+        assert h.rank == _rank_key(h)
+
+
+def test_min_tiling_len():
+    lex = _make_lexicon(["ab", "abc", "cde", "d", "e"])
+    assert _min_tiling_len("abcde", lex) == 3   # ab|cde or abc|d|e
+    assert _min_tiling_len("abde", lex) == 2
+    assert _min_tiling_len("abx", lex) is None
+    assert _min_tiling_len("c", lex) is None
+
+
+def test_growth_skips_rounds_below_seven_char_word(monkeypatch):
+    # the only tiling of the fragment is the 7-character word
+    lex = _make_lexicon(["abcdefg", "ab", "cd", "ef"])
+    cache = SimilarityCache(init_embeddings(len(lex), 6, np.random.default_rng(2)))
+    bounds = []
+
+    def counting_search(*args, **kwargs):
+        bounds.append(kwargs["max_word_len"])
+        return beam_search(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "beam_search", counting_search)
+    assert segment_sentence("abcdefg", lex, cache, BeamParams(retry_cap=2)) == "abcdefg"
+    assert bounds == [5, 7]  # the round at bound 6 is counted but not run
+
+    counters = {}
+    out = segment_sentence(
+        "abcdefg", lex, cache, BeamParams(retry_cap=1),
+        baseline_tokens=["abc", "defg"], counters=counters,
+    )
+    assert out == "abc defg"
+    assert counters["fallbacks"] == 1
+
+
+def test_long_oov_fragment_falls_back_fast():
+    lex = _make_lexicon(["天", "地", "人", "天地", "人人"])
+    cache = SimilarityCache(init_embeddings(len(lex), 8, np.random.default_rng(4)))
+    tokens = ["天地", "人"] * 31 + ["httpwwwexamplecomxyz"] + ["人人", "天"] * 29
+    fragment = "".join(tokens)
+    assert len(fragment) == 200
+    counters = {}
+    t0 = time.perf_counter()
+    out = segment_sentence(fragment, lex, cache, BeamParams(), baseline_tokens=tokens, counters=counters)
+    assert time.perf_counter() - t0 < 1.0
+    assert out == " ".join(tokens)
+    assert counters["fallbacks"] == 1
 
 
 def test_carve_baseline_drops_delimiters_and_splits():
