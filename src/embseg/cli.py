@@ -31,7 +31,6 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--neg", type=int, default=1, help="noise negatives per target occurrence")
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="unset: time-seeded, echoed in the summary")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dump-samples", help="write every training sample to this TSV file")
     p.set_defaults(func=cmd_train)
 
@@ -103,13 +102,11 @@ def _read_token_lines(path: str) -> list[list[str]]:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.no_cache and not args.cache:
         raise ValueError("train writes a cache file: pass --cache PATH or --no-cache")
-    if args.dump_samples and args.threads > 1:
-        raise ValueError("--dump-samples records samples from one thread only: pass --threads 1")
     seed = args.seed if args.seed is not None else time.time_ns() % (2**31)
     config = TrainerConfig(
         epsilon=args.epsilon, mu=args.mu, n_noise=args.neg, dim=args.dim,
         eta=args.eta, window=args.window, epochs=args.epochs,
-        seed=seed, threads=args.threads,
+        seed=seed,
     )
     t0 = time.perf_counter()
     sentences = list(read_segmented_corpus(args.corpus))
@@ -136,7 +133,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             n_samples += 1
 
     try:
-        emb = train(sentences, lexicon, config, sample_sink=sink if config.threads == 1 else None)
+        emb = train(sentences, lexicon, config, sample_sink=sink)
     finally:
         if dump_fh is not None:
             dump_fh.close()
@@ -152,7 +149,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "vocab_size": len(lexicon),
         "total_tokens": lexicon.total_tokens,
         "sentences": len(sentences),
-        "samples": n_samples if config.threads == 1 else None,
+        "samples": n_samples,
         "cache_entries": cache_entries,
         "seed": seed,
         "wall_time_s": round(time.perf_counter() - t0, 3),

@@ -1,7 +1,8 @@
 """Word dictionary with counts, frequencies, and target-subsampling rules."""
 from __future__ import annotations
 
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -28,6 +29,7 @@ class Lexicon:
         self._index = {w: i for i, w in enumerate(self._words)}
         if len(self._index) != len(self._words):
             raise ValueError("duplicate word in lexicon")
+        self._index_view = MappingProxyType(self._index)
         self.total_tokens = int(self._counts.sum())
         self.longest = max(map(len, self._words))  # characters in the longest entry
 
@@ -50,6 +52,11 @@ class Lexicon:
     @property
     def counts(self) -> np.ndarray:
         return self._counts
+
+    @property
+    def index(self) -> Mapping[str, int]:
+        """Read-only word -> id mapping, for lookups in inner loops."""
+        return self._index_view
 
     def __len__(self) -> int:
         return len(self._words)

@@ -12,6 +12,7 @@ Negatives share one class weight computed from the batch's class counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ INWORD_NEG = "inword_neg"
 NOISE_NEG = "noise_neg"
 
 
-@dataclass(frozen=True)
-class TrainingSample:
+class TrainingSample(NamedTuple):
     target: int
     other: int
     label: str
@@ -81,16 +81,19 @@ def context_negatives(words: list[str], i: int, window: int, lexicon: Lexicon) -
     left = "".join(w for w in words[lo:i] if w not in MARKERS)
     right = "".join(w for w in words[i + 1:hi] if w not in MARKERS)
     target_id = lexicon.id_of(words[i])
+    index = lexicon.index
+    longest = lexicon.longest  # no longer substring can be in the dictionary
     out: list[tuple[int, int]] = []
     emitted: set[str] = set()
     for seq in (left, right):
-        for a in range(len(seq)):
-            for b in range(a + 1, len(seq) + 1):
+        n = len(seq)
+        for a in range(n):
+            for b in range(a + 1, min(n, a + longest) + 1):
                 sub = seq[a:b]
-                if sub in emitted or sub in context or sub not in lexicon:
+                if sub not in index or sub in emitted or sub in context:
                     continue
                 emitted.add(sub)
-                out.append((target_id, lexicon.id_of(sub)))
+                out.append((target_id, index[sub]))
     return out
 
 

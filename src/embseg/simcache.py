@@ -9,6 +9,9 @@ loaded: the cache is a pure accelerator.
 """
 from __future__ import annotations
 
+import hashlib
+import itertools
+import os
 import struct
 from typing import Iterable
 
@@ -26,9 +29,12 @@ __all__ = [
 ]
 
 _MAGIC = b"WCSC"
-_VERSION = 1
+_VERSION = 2
+_DIGEST_SIZE = 32
+_HEADER = struct.Struct(f"<IQ{_DIGEST_SIZE}s")  # after magic and version
 _MIN_NORM = 1e-12
 _ENTRY = np.dtype([("a", "<u4"), ("b", "<u4"), ("cos", "<f4")])
+_CHUNK = 128  # pairs per cosine batch: small, so the gathered rows do not raise peak memory
 
 
 class SimilarityCache:
@@ -74,72 +80,112 @@ def build_cache(
     lexicon: Lexicon,
     embeddings: np.ndarray,
     window: int = 4,
-    scope: str = "window",
 ) -> SimilarityCache:
     """Precompute cosines for every distinct unordered pair of words that
-    co-occur within `window` positions (or anywhere in the same sentence
-    when scope == "sentence").  Boundary markers participate like words.
+    co-occur within `window` positions.  Boundary markers participate like
+    words.
     """
-    if scope not in ("window", "sentence"):
-        raise ValueError(f"unknown scope {scope!r}")
     cache = SimilarityCache(embeddings)
     pairs: set[tuple[int, int]] = set()
     for sent in sentences:
         ids = [lexicon.id_of(t) for t in add_boundary_markers(sent)]
-        n = len(ids)
-        for i in range(n):
-            a = ids[i]
-            hi = n if scope == "sentence" else min(n, i + window + 1)
-            for j in range(i + 1, hi):
-                b = ids[j]
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:i + 1 + window]:
                 if a != b:
                     pairs.add((a, b) if a < b else (b, a))
-    # same arithmetic as the miss path, so a hit is bit-identical to a miss
+    keys = list(pairs)  # the table reuses these tuples
+    del pairs
+    ab, order = _sorted_ids(keys, len(keys))
+    # A stacked vector-vector matmul runs each pair through the same BLAS
+    # dot as np.dot in the miss path, so a hit is bit-identical to a miss.
     unit = cache._unit
-    cache.table = {
-        (a, b): float(np.float32(np.dot(unit[a], unit[b])))
-        for a, b in sorted(pairs)
-    }
+    for lo in range(0, len(keys), _CHUNK):
+        idx = order[lo:lo + _CHUNK]
+        cos = np.matmul(unit[ab[idx, 0], None, :], unit[ab[idx, 1], :, None])
+        cache.table.update(zip(map(keys.__getitem__, idx.tolist()),
+                               cos.reshape(-1).astype(np.float32).tolist()))
     return cache
+
+
+def _sorted_ids(keys: Iterable[tuple[int, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n id pairs as an (n, 2) array and the order that sorts them;
+    sorting ids in numpy is several times faster than sorting the tuples."""
+    ab = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.uint32,
+                     count=2 * n).reshape(-1, 2)
+    return ab, np.lexsort((ab[:, 1], ab[:, 0]))
+
+
+def _unit_digest(unit: np.ndarray) -> bytes:
+    """Digest of the unit-row table that every cached cosine was computed
+    from; a cache file is valid only against embeddings with this digest."""
+    return hashlib.blake2b(np.ascontiguousarray(unit), digest_size=_DIGEST_SIZE).digest()
 
 
 def save_cache(path: str, cache: SimilarityCache) -> None:
     """Binary layout: magic 'WCSC', version byte, vocab size (u32 LE), entry
-    count (u64 LE), then (id_a u32, id_b u32, cos f32) triples, ids sorted."""
-    items = sorted(cache.table.items())
-    rec = np.empty(len(items), dtype=_ENTRY)
-    for i, ((a, b), c) in enumerate(items):
-        rec[i] = (a, b, c)
+    count (u64 LE), blake2b digest of the unit-row table (32 bytes), then
+    (id_a u32, id_b u32, cos f32) triples with id_a < id_b, sorted."""
+    table = cache.table
+    n = len(table)
+    ab, order = _sorted_ids(table, n)
+    rec = np.empty(n, dtype=_ENTRY)
+    rec["a"] = ab[order, 0]
+    rec["b"] = ab[order, 1]
+    rec["cos"] = np.fromiter(table.values(), dtype=np.float32, count=n)[order]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
-        fh.write(struct.pack("<IQ", cache.vocab_size, len(items)))
+        fh.write(_HEADER.pack(cache.vocab_size, n, _unit_digest(cache._unit)))
         rec.tofile(fh)
 
 
 def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
-    """Read a cache file back; the vocabulary size must match `embeddings`."""
+    """Read a cache file back.  It must have been built from `embeddings`:
+    the vocabulary size and the digest of the unit-row table must match.
+    Every record must hold ids a < b < V and a finite cosine, and no bytes
+    may follow the last record."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a similarity cache file")
         version = fh.read(1)
         if version != bytes([_VERSION]):
-            raise ValueError(f"{path}: unsupported cache version {version!r}")
-        vocab_size, count = struct.unpack("<IQ", fh.read(12))
+            raise ValueError(
+                f"{path}: unsupported cache version {version!r} "
+                f"(this build reads version {_VERSION}); re-run train"
+            )
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError(f"{path}: truncated cache file")
+        vocab_size, count, digest = _HEADER.unpack(head)
         if vocab_size != embeddings.shape[0]:
             raise ValueError(
                 f"{path}: cache built for vocabulary of {vocab_size}, "
                 f"embeddings have {embeddings.shape[0]}"
             )
-        rec = np.fromfile(fh, dtype=_ENTRY, count=count)
-        if len(rec) != count:
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body < count * _ENTRY.itemsize:
             raise ValueError(f"{path}: truncated cache file")
-    table = {
-        (int(a), int(b)): float(c)
-        for a, b, c in zip(rec["a"].tolist(), rec["b"].tolist(), rec["cos"].tolist())
-    }
-    return SimilarityCache(embeddings, table)
+        if body > count * _ENTRY.itemsize:
+            raise ValueError(f"{path}: trailing bytes after {count} records")
+        rec = np.fromfile(fh, dtype=_ENTRY, count=count)
+    for bad, what in (
+        (rec["a"] >= rec["b"], "ids not in (smaller, larger) order"),
+        (rec["b"] >= vocab_size, f"word id not below vocabulary size {vocab_size}"),
+        (~np.isfinite(rec["cos"]), "non-finite cosine"),
+    ):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            a, b, c = rec[i].tolist()
+            raise ValueError(f"{path}: record {i} ({a}, {b}, {c!r}): {what}")
+    table = dict(zip(zip(rec["a"].tolist(), rec["b"].tolist()), rec["cos"].tolist()))
+    del rec
+    # the unit rows come after the table is built and the records freed,
+    # so they do not add to the load's peak memory
+    cache = SimilarityCache(embeddings, table)
+    if digest != _unit_digest(cache._unit):
+        raise ValueError(f"{path}: cache built from different embeddings; re-run train")
+    return cache
 
 
 def export_tsv(path: str, cache: SimilarityCache, lexicon: Lexicon) -> None:

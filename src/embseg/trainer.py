@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -50,7 +49,6 @@ class TrainerConfig:
     lr_start: float = 0.025
     lr_end: float = 1e-4
     seed: int = 0
-    threads: int = 1
     tied: bool = True            # one vector per word for both pair roles
     weight_mode: str = "occurrence"      # or "pair"
     noise_distribution: str = "uniform"  # or "unigram75"
@@ -66,8 +64,6 @@ class TrainerConfig:
             raise ValueError("n_noise must be >= 0")
         if self.lr_start <= 0 or self.lr_end <= 0 or self.lr_end > self.lr_start:
             raise ValueError("need 0 < lr_end <= lr_start")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.weight_mode not in ("occurrence", "pair"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
         if self.noise_distribution not in ("uniform", "unigram75"):
@@ -138,23 +134,26 @@ def train_step(
 
     d/dcos of weight*log(sigmoid(s*cos)) is weight*s*sigmoid(-s*cos), and
     dcos/du = v/(|u||v|) - cos*u/|u|^2 (symmetrically for v).  Both deltas
-    are computed from the pre-step rows, then applied in place.
+    are computed from the pre-step rows, then applied in place through
+    the row views (when target == other both land on the same row, in the
+    same order).
     """
     other_table = emb if emb_other is None else emb_other
     u = emb[sample.target]
     v = other_table[sample.other]
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    # exactly np.linalg.norm of a 1-D float64 vector, without its overhead
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu < _MIN_NORM or nv < _MIN_NORM:
         raise ValueError("cosine undefined for a zero vector")
     inv = 1.0 / (nu * nv)
-    cos = float(np.dot(u, v)) * inv
+    cos = float(u.dot(v)) * inv
     sign = 1.0 if sample.label == POSITIVE else -1.0
     coef = lr * sample.weight * sign * _sigmoid(-sign * cos)
     du = coef * (v * inv - u * (cos / (nu * nu)))
     dv = coef * (u * inv - v * (cos / (nv * nv)))
-    emb[sample.target] += du
-    other_table[sample.other] += dv
+    u += du
+    v += dv
 
 
 def _noise_cdf(lexicon: Lexicon, distribution: str) -> np.ndarray | None:
@@ -190,17 +189,14 @@ def train(
     `sentences` are token lists without boundary markers; markers are added
     here and must already be counted in the lexicon.  Tokens missing from
     the lexicon are an error.  The learning rate decays linearly from
-    lr_start to lr_end over all token positions of all epochs.  With
-    threads == 1 the result is a deterministic function of the corpus,
-    lexicon, and config; with more threads rows are updated without locks
-    and lost updates are tolerated.  Returns the V x dim table (the
-    target-side table in the untied variant).
+    lr_start to lr_end over all token positions of all epochs.  The result
+    is a deterministic function of the corpus, lexicon, and config.
+    Returns the V x dim table (the target-side table in the untied
+    variant).
 
     sample_sink, when given, receives every generated TrainingSample in
-    order (single-threaded only); used for audit dumps.
+    order; used for audit dumps.
     """
-    if sample_sink is not None and config.threads > 1:
-        raise ValueError("sample_sink requires threads == 1")
     rng = np.random.default_rng(config.seed)
     emb = init_embeddings(len(lexicon), config.dim, rng)
     emb_other = None if config.tied else init_embeddings(len(lexicon), config.dim, rng)
@@ -217,61 +213,15 @@ def train(
     if total_positions == 0:
         return emb
 
-    if config.threads == 1:
-        _train_span(wrapped, lexicon, config, table, cdf, emb, emb_other, rng,
-                    total_positions, start=0, stride=1, sample_sink=sample_sink)
-    else:
-        seeds = np.random.SeedSequence(config.seed).spawn(config.threads)
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futs = [
-                pool.submit(
-                    _train_span, wrapped, lexicon, config, table, cdf, emb, emb_other,
-                    np.random.default_rng(seeds[t]), total_positions,
-                    start=t, stride=config.threads, sample_sink=None,
-                )
-                for t in range(config.threads)
-            ]
-            for f in futs:
-                f.result()
-
-    _repair_rows(emb, rng, "final sweep")
-    if emb_other is not None:
-        _repair_rows(emb_other, rng, "final sweep, context table")
-    if not np.isfinite(emb).all():
-        raise FloatingPointError("non-finite embedding entries after training")
-    return emb
-
-
-def _train_span(
-    wrapped: list[tuple[list[str], list[int]]],
-    lexicon: Lexicon,
-    config: TrainerConfig,
-    table: SubsampleTable,
-    cdf: np.ndarray | None,
-    emb: np.ndarray,
-    emb_other: np.ndarray | None,
-    rng: np.random.Generator,
-    total_positions: int,
-    *,
-    start: int,
-    stride: int,
-    sample_sink: Callable[[TrainingSample], None] | None,
-) -> None:
-    """Run the update loop over every stride-th sentence (all of them when
-    stride == 1).  processed counts this worker's positions only, scaled by
-    stride for the learning-rate schedule."""
-    p_sub = table.p_sub
-    keep = table.keep_override
+    p_sub = table.p_sub.tolist()
+    keep = table.keep_override.tolist()
     lr_span = config.lr_start - config.lr_end
-    processed = 0
+    processed = 0  # token positions before the current sentence
     batches = 0
     for _ in range(config.epochs):
-        for si in range(start, len(wrapped), stride):
-            words, ids = wrapped[si]
-            draws = rng.random(len(ids))
+        for words, ids in wrapped:
+            draws = rng.random(len(ids)).tolist()
             for i, wid in enumerate(ids):
-                frac = min(1.0, processed * stride / total_positions)
-                processed += 1
                 if not (keep[wid] or draws[i] < p_sub[wid]):
                     continue
                 batch = build_occurrence_batch(
@@ -281,7 +231,7 @@ def _train_span(
                 )
                 if batch is None:
                     continue
-                lr = config.lr_start - lr_span * frac
+                lr = config.lr_start - lr_span * ((processed + i) / total_positions)
                 for sample in batch.samples:
                     if sample_sink is not None:
                         sample_sink(sample)
@@ -291,6 +241,14 @@ def _train_span(
                     _repair_rows(emb, rng, f"sweep at batch {batches}")
                     if not np.isfinite(emb).all():
                         raise FloatingPointError("non-finite embedding entries")
+            processed += len(ids)
+
+    _repair_rows(emb, rng, "final sweep")
+    if emb_other is not None:
+        _repair_rows(emb_other, rng, "final sweep, context table")
+    if not np.isfinite(emb).all():
+        raise FloatingPointError("non-finite embedding entries after training")
+    return emb
 
 
 def save_embeddings(path: str, lexicon: Lexicon, emb: np.ndarray) -> None:

@@ -190,23 +190,6 @@ def test_dump_samples_tsv(workdir):
         float(weight)
 
 
-def test_dump_samples_rejects_threads(workdir):
-    dump = workdir / "threaded_samples.tsv"
-    rc, _, err = _run([
-        "train",
-        "--corpus", str(workdir / "base.txt"),
-        "--dict", str(workdir / "d5.tsv"),
-        "--emb", str(workdir / "e5.txt"),
-        "--no-cache",
-        "--threads", "2",
-        "--dump-samples", str(dump),
-    ])
-    assert rc == 1
-    assert err.startswith("error:")
-    assert "--threads 1" in err
-    assert not dump.exists()
-
-
 def test_segment_artifact_mismatch(workdir, trained, tmp_path):
     mini = tmp_path / "mini.txt"
     mini.write_text("天 地\n地 天\n", encoding="utf-8")

@@ -45,6 +45,19 @@ def test_context_negatives_exclude_marker_text():
     assert context_negatives(words, 2, 4, lex) == []
 
 
+def test_context_negatives_reach_the_longest_word():
+    # the longest dictionary entry, spelled across two context words, at
+    # the end of the left flank and at the start of the right flank
+    longest = "天地人天地人"
+    lex = Lexicon.from_sentences([["q", "天地人", "天地人", "x"], [longest]])
+    assert lex.longest == len(longest)
+    expected = [(lex.id_of("x"), lex.id_of(longest))]
+    left = [BOS, "q", "天地人", "天地人", "x", EOS]
+    assert context_negatives(left, 4, 4, lex) == expected
+    right = [BOS, "x", "天地人", "天地人", "q", EOS]
+    assert context_negatives(right, 1, 4, lex) == expected
+
+
 def _oracle_context(words, i, window, lex):
     lo = max(0, i - window)
     hi = min(len(words), i + window + 1)

@@ -1,4 +1,6 @@
 """Similarity cache: build scope, file format, transparency."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,15 +40,6 @@ def test_build_cache_window_bound():
     ids = [lex.id_of(t) for t in (BOS, "w1", "w2", "w3", "w4", "w5", "w6", EOS)]
     assert set(cache.table) == {tuple(sorted(p)) for p in zip(ids, ids[1:])}
 
-    wide = build_cache(sent, lex, emb, scope="sentence")
-    assert len(wide.table) == 8 * 7 // 2
-
-
-def test_build_cache_scope_validation():
-    lex, emb = _setup([["a"]])
-    with pytest.raises(ValueError):
-        build_cache([["a"]], lex, emb, scope="corpus")
-
 
 def test_cached_values_equal_miss_path_bitwise():
     sent = [["a", "b", "c"], ["c", "a"]]
@@ -57,6 +50,23 @@ def test_cached_values_equal_miss_path_bitwise():
     for (a, b), val in cache.table.items():
         assert bare.similarity(a, b) == val
         assert abs(val) <= 1.0000001
+
+
+@pytest.mark.parametrize("dim", [1, 12, 100, 257])
+def test_cached_values_equal_miss_path_bitwise_across_chunks(dim):
+    rng = np.random.default_rng(dim)
+    words = [f"w{i}" for i in range(160)]
+    sent = [list(rng.choice(words, size=20)) for _ in range(400)]
+    lex = Lexicon.from_sentences(sent)
+    emb = rng.normal(size=(len(lex), dim))
+    cache = build_cache(sent, lex, emb)
+    keys = list(cache.table)
+    assert len(keys) > 4096  # more than one batch of cosines
+    assert keys == sorted(keys)
+    bare = SimilarityCache(emb)
+    cached = np.array([cache.table[k] for k in keys])
+    direct = np.array([bare.similarity(a, b) for a, b in keys])
+    assert cached.tobytes() == direct.tobytes()
 
 
 def test_similarity_identity_symmetry_and_counters():
@@ -124,6 +134,68 @@ def test_cache_file_validation(tmp_path):
     bad.write_bytes(raw[:-4])
     with pytest.raises(ValueError, match="truncated"):
         load_cache(str(bad), emb)
+
+
+def _rejected(path, emb, what):
+    with pytest.raises(ValueError, match=what) as info:
+        load_cache(str(path), emb)
+    assert str(path) in str(info.value)
+
+
+def test_cache_file_rejects_other_embeddings(tmp_path):
+    # same vocabulary size, different vectors: a stale cache from another run
+    sent = [["a", "b", "c"], ["c", "a"]]
+    lex = Lexicon.from_sentences(sent)
+    emb1 = init_embeddings(len(lex), 12, np.random.default_rng(1))
+    emb7 = init_embeddings(len(lex), 12, np.random.default_rng(7))
+    path = tmp_path / "sim.bin"
+    save_cache(str(path), build_cache(sent, lex, emb1))
+    assert load_cache(str(path), emb1).table
+    _rejected(path, emb7, "different embeddings")
+
+
+def test_cache_file_rejects_version_1(tmp_path):
+    sent = [["a", "b"]]
+    lex, emb = _setup(sent)
+    table = build_cache(sent, lex, emb).table
+    rec = b"".join(struct.pack("<IIf", a, b, c) for (a, b), c in sorted(table.items()))
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"WCSC" + bytes([1]) + struct.pack("<IQ", len(lex), len(table)) + rec)
+    _rejected(path, emb, "version")
+
+
+@pytest.mark.parametrize(
+    "key, value, what",
+    [
+        ((1, 4), 0.5, "vocabulary size"),
+        ((0, 5), 0.5, "vocabulary size"),
+        ((2, 1), 0.5, "order"),
+        ((1, 1), 0.5, "order"),
+        ((0, 1), float("nan"), "non-finite"),
+        ((0, 1), float("inf"), "non-finite"),
+    ],
+)
+def test_cache_file_rejects_bad_records(tmp_path, key, value, what):
+    lex, emb = _setup([["a", "b"]])  # 4 words with the markers
+    assert len(lex) == 4
+    path = tmp_path / "bad.bin"
+    save_cache(str(path), SimilarityCache(emb, {(0, 2): 0.25, key: value}))
+    _rejected(path, emb, what)
+
+
+def test_cache_file_rejects_trailing_and_missing_bytes(tmp_path):
+    sent = [["a", "b"]]
+    lex, emb = _setup(sent)
+    path = tmp_path / "sim.bin"
+    save_cache(str(path), build_cache(sent, lex, emb))
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw + b"\0")
+    _rejected(bad, emb, "trailing bytes")
+    bad.write_bytes(raw[:20])
+    _rejected(bad, emb, "truncated")
+    bad.write_bytes(raw[:-1])
+    _rejected(bad, emb, "truncated")
 
 
 def test_export_tsv_parses_back(tmp_path):
