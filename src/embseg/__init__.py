@@ -17,7 +17,7 @@ from .corpus import (
     reassemble,
     split_fragments,
 )
-from .decoder import BeamParams, Hypothesis, beam_search, extend, segment_sentence, word_logp
+from .decoder import BeamParams, Hypothesis, beam_search, segment_sentence, word_logp
 from .evaluate import AlignmentError, EvalReport, WordImprovementRow, score, word_improvement_report, word_spans
 from .lexicon import Lexicon, SubsampleTable
 from .sampler import (
@@ -64,7 +64,6 @@ __all__ = [
     "BeamParams",
     "Hypothesis",
     "beam_search",
-    "extend",
     "segment_sentence",
     "word_logp",
     "AlignmentError",

@@ -183,10 +183,16 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 f"--baseline has {len(baselines)} lines, --input has {len(lines)}"
             )
 
-    out_lines = [
-        segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
-        for line, base in zip(lines, baselines)
-    ]
+    out_lines = []
+    for lineno, (line, base) in enumerate(zip(lines, baselines), start=1):
+        try:
+            out_lines.append(
+                segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
+            )
+        except ValueError as exc:
+            if base is None:
+                raise
+            raise ValueError(f"{args.baseline}:{lineno}: {exc}") from None
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in out_lines:
             fh.write(line + "\n")
@@ -226,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ geometry like ordinary words.
 """
 from __future__ import annotations
 
-import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,6 +20,7 @@ __all__ = [
     "DELIMITER",
     "Piece",
     "is_word_char",
+    "strip_delimiters",
     "split_fragments",
     "fragment_texts",
     "reassemble",
@@ -48,20 +49,26 @@ class Piece:
     text: str
 
 
+# The ranges of is_word_char, written down only here so that they can be
+# widened in a single place; every word-character test uses this class.
+_WORD_CLASS = "\u3400-\u4dbf\u4e00-\u9fffA-Za-z0-9\uff10-\uff19"
+_WORD_CHAR = re.compile(f"[{_WORD_CLASS}]")
+_DELIMITER_RUN = re.compile(f"([^{_WORD_CLASS}]+)")
+
+
 def is_word_char(ch: str) -> bool:
     """True for characters that belong inside fragments.
 
     Word characters are CJK Unified Ideographs (plus Extension A), ASCII
     letters, and ASCII or fullwidth digits.  Everything else, including
-    fullwidth Latin letters, counts as a delimiter.  The ranges live in
-    this one predicate so they can be widened in a single place.
+    fullwidth Latin letters, counts as a delimiter.
     """
-    cp = ord(ch)
-    if 0x4E00 <= cp <= 0x9FFF or 0x3400 <= cp <= 0x4DBF:
-        return True
-    if 0x41 <= cp <= 0x5A or 0x61 <= cp <= 0x7A:
-        return True
-    return 0x30 <= cp <= 0x39 or 0xFF10 <= cp <= 0xFF19
+    return _WORD_CHAR.fullmatch(ch) is not None
+
+
+def strip_delimiters(text: str) -> str:
+    """`text` with every delimiter character removed."""
+    return _DELIMITER_RUN.sub("", text)
 
 
 def split_fragments(line: str) -> list[Piece]:
@@ -70,9 +77,12 @@ def split_fragments(line: str) -> list[Piece]:
     Concatenating the piece texts reproduces the line byte for byte; no
     normalization of any kind is applied.
     """
+    # the capture group keeps the delimiter runs, at the odd indices
+    parts = _DELIMITER_RUN.split(line)
     return [
-        Piece(FRAGMENT if wordlike else DELIMITER, "".join(run))
-        for wordlike, run in itertools.groupby(line, key=is_word_char)
+        Piece(DELIMITER if i & 1 else FRAGMENT, text)
+        for i, text in enumerate(parts)
+        if text
     ]
 
 

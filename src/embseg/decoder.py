@@ -7,7 +7,11 @@ starts a fresh buffer.  Hypotheses are ranked by the mean, over flushed
 words, of the mean cosine between each word and up to `window` of its
 predecessors; the begin marker contributes nothing, the end marker is
 scored like a word.  A hypothesis's rank is computed once, when it
-flushes a word, and carried unchanged while its buffer grows.
+flushes a word, and carried unchanged while its buffer grows.  Each
+search first indexes the fragment's dictionary lattice (the id of every
+dictionary word fragment[s:e]), keeps each buffer as a start offset and
+memoises word scores, so its inner loop builds no strings and looks up
+no text.
 
 When the whole beam dies the search restarts with a larger beam and
 word-length bound, so every input eventually gets some segmentation (its
@@ -22,11 +26,13 @@ skipped, so the output is the same.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .corpus import BOS, EOS, FRAGMENT, Piece, fragment_texts, is_word_char, reassemble, split_fragments
+from .corpus import BOS, EOS, fragment_texts, reassemble, split_fragments, strip_delimiters
 from .lexicon import Lexicon
 from .simcache import SimilarityCache
 
@@ -35,7 +41,6 @@ __all__ = [
     "Hypothesis",
     "word_logp",
     "recompute_mean_logp",
-    "extend",
     "beam_search",
     "segment_sentence",
 ]
@@ -70,28 +75,11 @@ class Hypothesis(NamedTuple):
     sum_logp: float             # sum of per-word log probabilities
     recent: tuple[int, ...]     # last min(window, word_count) ids, oldest first
     lens: tuple[int, ...]       # real-word lengths, for deterministic tie-breaks
-    rank: tuple = ()            # sort key, see _rank_key; () until first extended
+    rank: tuple = ()            # sort key, see beam_search
 
     def mean_logp(self) -> float:
         """Current score: mean log probability over scored words."""
         return self.sum_logp / (self.word_count - 1) if self.word_count > 1 else 0.0
-
-
-def _rank_key(h: Hypothesis) -> tuple:
-    """Sort key of a hypothesis, computed from scratch; smaller ranks first.
-
-    Primary: score, quantized so that differences under 1e-9 tie.  Ties
-    prefer fewer words, then longer early words, then the word ids.  The
-    key depends on the flushed words only: at one character position the
-    flushed words also fix the buffer, so no two candidates share a key.
-    """
-    neg_lens = tuple(-x for x in h.lens)
-    return (-round(h.mean_logp() * _SCORE_QUANTUM), h.word_count, neg_lens, h.seg)
-
-
-def _flushed_rank(sum_logp: float, word_count: int, neg_lens: tuple[int, ...], seg: tuple[int, ...]) -> tuple:
-    # _rank_key of a hypothesis that has just flushed a word (word_count >= 2)
-    return (-round(sum_logp / (word_count - 1) * _SCORE_QUANTUM), word_count, neg_lens, seg)
 
 
 _carried_rank = attrgetter("rank")
@@ -105,7 +93,7 @@ def word_logp(word: int, recent: Sequence[int], cache: SimilarityCache, window: 
     preds = recent[-window:]
     if not preds:
         return 0.0
-    return sum(cache.similarity(word, p) for p in preds) / len(preds)
+    return sum(map(cache.similarity, repeat(word), preds)) / len(preds)
 
 
 def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int) -> float:
@@ -123,35 +111,28 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
     return total / (len(seg) - 1)
 
 
-def extend(
-    h: Hypothesis,
-    ch: str,
-    lexicon: Lexicon,
-    max_word_len: int,
-    cache: SimilarityCache,
-    window: int,
-) -> list[Hypothesis]:
-    """Successor hypotheses for one more character.
+class _ScoreMemo(dict):
+    """word_logp of each (word, recent) key met in one search, computed on
+    first use; the same call gives the same float every time."""
 
-    Candidate A appends the character to the buffer while the buffer stays
-    within max_word_len and keeps the rank; candidate B flushes the buffer
-    as a word (only if it is in the dictionary), opens a fresh buffer with
-    the character and extends the rank by the new word.
-    """
-    out: list[Hypothesis] = []
-    rank = h.rank or _rank_key(h)
-    if len(h.buf) + 1 <= max_word_len:
-        out.append(Hypothesis(h.seg, h.buf + ch, h.word_count, h.sum_logp, h.recent, h.lens, rank))
-    if h.buf and h.buf in lexicon:
-        wid = lexicon.id_of(h.buf)
-        seg = h.seg + (wid,)
-        count = h.word_count + 1
-        total = h.sum_logp + word_logp(wid, h.recent, cache, window)
-        out.append(Hypothesis(
-            seg, ch, count, total, (h.recent + (wid,))[-window:], h.lens + (len(h.buf),),
-            _flushed_rank(total, count, rank[2] + (-len(h.buf),), seg),
-        ))
-    return out
+    def __init__(self, cache: SimilarityCache, window: int):
+        super().__init__()
+        self.cache = cache
+        self.window = window
+
+    def __missing__(self, key: tuple[int, tuple[int, ...]]) -> float:
+        logp = self[key] = word_logp(key[0], key[1], self.cache, self.window)
+        return logp
+
+
+def _word_ids(fragment: str, lexicon: Lexicon, max_len: int) -> list[dict[int, int]]:
+    """The fragment's dictionary lattice: entry e maps each start s to the
+    id of the word fragment[s:e], for words of at most max_len characters."""
+    get = lexicon.index.get
+    return [
+        {s: wid for s in range(max(0, e - max_len), e) if (wid := get(fragment[s:e])) is not None}
+        for e in range(len(fragment) + 1)
+    ]
 
 
 def beam_search(
@@ -171,36 +152,71 @@ def beam_search(
     markers, while the score does include the end marker's term.  With
     return_finals=True the full list of surviving final hypotheses is
     returned as a second value (verification hook).
+
+    Each character either extends a hypothesis's buffer (while it still
+    fits max_word_len) or flushes the buffer as a dictionary word and opens
+    a fresh one.  A beam entry is (rank, start, sum_logp, recent): its
+    buffer is fragment[start:p] at position p.  The rank is
+
+        (-round(mean_logp * 1e9), word_count, negated word lengths, seg)
+
+    and smaller ranks come first: the score, quantized so that differences
+    under 1e-9 tie, then fewer words, then longer early words, then the
+    word ids.  It depends on the flushed words only, so it is computed when
+    a word is flushed and carried while the buffer grows; at one position
+    the flushed words also fix the buffer, so no two entries share a rank.
     """
     if not fragment:
         raise ValueError("cannot decode an empty fragment")
     bos = lexicon.id_of(BOS)
     eos = lexicon.id_of(EOS)
-    beam = [Hypothesis((bos,), "", 1, 0.0, (bos,), ())]
-    for ch in fragment:
-        cands: list[Hypothesis] = []
-        for h in beam:
-            cands.extend(extend(h, ch, lexicon, max_word_len, cache, window))
+    n = len(fragment)
+    ends = _word_ids(fragment, lexicon, min(lexicon.longest, max_word_len))
+    memo = _ScoreMemo(cache, window)
+    beam = [((0, 1, (), (bos,)), 0, 0.0, (bos,))]
+    for p in range(n):
+        flushable = ends[p]
+        fits = p + 1 - max_word_len  # buffers starting here or later take one more character
+        cands = []
+        for entry in beam:
+            rank, start, total, recent = entry
+            if start >= fits:
+                cands.append(entry)
+            wid = flushable.get(start)
+            if wid is not None:
+                total += memo[wid, recent]
+                count = rank[1]
+                seg = rank[3] + (wid,)
+                cands.append((
+                    (-round(total / count * _SCORE_QUANTUM), count + 1, rank[2] + (start - p,), seg),
+                    p, total, (recent + (wid,))[-window:],
+                ))
         if not cands:
             return (None, []) if return_finals else None
-        cands.sort(key=_carried_rank)
+        cands.sort()  # ranks are unique, so this sorts by rank alone
         beam = cands[:beam_size]
     # Past the last character the buffer must close as a word, and the end
     # marker joins the segmentation as a scored word of its own.
     finals: list[Hypothesis] = []
-    for h in beam:
-        if h.buf not in lexicon:
+    flushable = ends[n]
+    for rank, start, total, recent in beam:
+        wid = flushable.get(start)
+        if wid is None:
             continue
-        wid = lexicon.id_of(h.buf)
-        logp_w = word_logp(wid, h.recent, cache, window)
-        recent = (h.recent + (wid,))[-window:]
-        logp_e = word_logp(eos, recent, cache, window)
-        seg = h.seg + (wid, eos)
-        count = h.word_count + 2
-        total = h.sum_logp + logp_w + logp_e
+        logp_w = memo[wid, recent]
+        recent = (recent + (wid,))[-window:]
+        logp_e = memo[eos, recent]
+        seg = rank[3] + (wid, eos)
+        count = rank[1] + 2
+        total = total + logp_w + logp_e
+        neg_lens = rank[2] + (start - n,)
+        # tuple() of a list, not of a generator: a generator's tuple is
+        # allocated at a guessed size and resized, which drains the
+        # interpreter's free list of that size and overfills the others
+        lens = tuple([-x for x in neg_lens])
         finals.append(Hypothesis(
-            seg, "", count, total, (recent + (eos,))[-window:], h.lens + (len(h.buf),),
-            _flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg),
+            seg, "", count, total, (recent + (eos,))[-window:], lens,
+            (-round(total / (count - 1) * _SCORE_QUANTUM), count, neg_lens, seg),
         ))
     if not finals:
         return (None, finals) if return_finals else None
@@ -214,18 +230,15 @@ def _min_tiling_len(fragment: str, lexicon: Lexicon) -> int | None:
     """Smallest word-length bound at which the dictionary tiles `fragment`,
     or None if no tiling exists at any bound.
 
-    need[j] is the smallest possible longest word over the tilings of
-    fragment[:j]; a word ending at j is at most lexicon.longest long.
+    need[e] is the smallest possible longest word over the tilings of
+    fragment[:e].
     """
     n = len(fragment)
     never = n + 1
-    need = [0] + [never] * n
-    for j in range(1, n + 1):
-        best = never
-        for i in range(max(0, j - lexicon.longest), j):
-            if need[i] < best and j - i < best and fragment[i:j] in lexicon:
-                best = max(need[i], j - i)
-        need[j] = best
+    ends = _word_ids(fragment, lexicon, lexicon.longest)
+    need = [0]
+    for e in range(1, n + 1):
+        need.append(min((max(need[s], e - s) for s in ends[e]), default=never))
     return need[n] if need[n] < never else None
 
 
@@ -274,29 +287,20 @@ def _carve_baseline(tokens: Sequence[str], frags: Sequence[str]) -> list[list[st
     are dropped first; the remaining character stream must equal the
     concatenated fragment text.
     """
-    clean: list[str] = []
-    for tok in tokens:
-        kept = "".join(ch for ch in tok if is_word_char(ch))
-        if kept:
-            clean.append(kept)
-    if "".join(clean) != "".join(frags):
+    joined = "".join(tokens)
+    text = "".join(frags)
+    if strip_delimiters(joined) != text:
         raise ValueError("baseline tokens do not cover the line's fragments")
+    if len(joined) != len(text):  # some tokens hold delimiters
+        tokens = list(map(strip_delimiters, tokens))
+    ends = list(accumulate(filter(None, map(len, tokens))))  # token ends, as offsets into text
     out: list[list[str]] = []
-    ti = 0
-    offset = 0
+    start = 0
     for frag in frags:
-        need = len(frag)
-        words: list[str] = []
-        while need > 0:
-            tok = clean[ti]
-            take = min(need, len(tok) - offset)
-            words.append(tok[offset:offset + take])
-            need -= take
-            offset += take
-            if offset == len(tok):
-                ti += 1
-                offset = 0
-        out.append(words)
+        stop = start + len(frag)
+        cuts = [start, *ends[bisect_right(ends, start):bisect_left(ends, stop)], stop]
+        out.append([text[i:j] for i, j in zip(cuts, cuts[1:])])
+        start = stop
     return out
 
 

@@ -88,7 +88,9 @@ class Lexicon:
 
     @classmethod
     def load(cls, path: str) -> "Lexicon":
-        words: list[str] = []
+        """Inverse of save.  A malformed line, a word listed twice or a count
+        below 1 raises a ValueError naming the file and line."""
+        first_line: dict[str, int] = {}  # word -> line it was first listed on
         counts: list[int] = []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -98,12 +100,22 @@ class Lexicon:
                 fields = line.split("\t")
                 if len(fields) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count'")
-                words.append(fields[0])
+                word = fields[0]
+                if word in first_line:
+                    raise ValueError(
+                        f"{path}:{lineno}: duplicate word {word!r} (first on line {first_line[word]})"
+                    )
+                first_line[word] = lineno
                 try:
-                    counts.append(int(fields[1]))
+                    count = int(fields[1])
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: count is not an integer") from None
-        return cls(words, counts)
+                if count < 1:
+                    raise ValueError(f"{path}:{lineno}: count must be >= 1")
+                counts.append(count)
+        if not counts:
+            raise ValueError(f"{path}: no entries")
+        return cls(first_line.keys(), counts)
 
 
 class SubsampleTable:

@@ -270,9 +270,12 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     """Inverse of save_embeddings; validates the header against the body."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header, expected 'V d'")
-        V, d = int(header[0]), int(header[1])
+        try:
+            V, d = map(int, header)
+        except ValueError:
+            V = d = 0
+        if V < 1 or d < 1:
+            raise ValueError(f"{path}:1: malformed header, expected 'V d' with V, d >= 1")
         words: list[str] = []
         emb = np.empty((V, d), dtype=np.float64)
         row = 0
@@ -281,9 +284,12 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
             if len(parts) != d + 1:
                 raise ValueError(f"{path}:{lineno}: expected a word and {d} floats")
             if row >= V:
-                raise ValueError(f"{path}: more rows than the header announces")
+                raise ValueError(f"{path}:{lineno}: more rows than the header announces")
             words.append(parts[0])
-            emb[row] = [float(x) for x in parts[1:]]
+            try:
+                emb[row] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             row += 1
     if row != V:
         raise ValueError(f"{path}: header announces {V} rows, found {row}")

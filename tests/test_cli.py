@@ -278,3 +278,56 @@ def test_missing_file_is_a_clean_error(tmp_path):
     ])
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_segment_names_the_baseline_line_that_does_not_cover(trained, tmp_path):
+    workdir, _ = trained
+    raw = tmp_path / "raw3.txt"
+    raw.write_text("大人\n天地\n", encoding="utf-8")
+    base = tmp_path / "base3.txt"
+    base.write_text("大 人\n天 人\n", encoding="utf-8")
+    rc, _, err = _run([
+        "segment",
+        "--input", str(raw),
+        "--dict", str(workdir / "dict.tsv"),
+        "--emb", str(workdir / "emb.txt"),
+        "--cache", str(workdir / "sim.bin"),
+        "--baseline", str(base),
+        "--out", str(tmp_path / "never.txt"),
+    ])
+    assert rc == 1
+    assert err == f"error: {base}:2: baseline tokens do not cover the line's fragments\n"
+    assert not (tmp_path / "never.txt").exists()
+
+
+def test_segment_reports_load_errors_with_file_and_line(trained, tmp_path):
+    workdir, _ = trained
+    lines = (workdir / "emb.txt").read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(" ")
+    lines[3] = " ".join(row[:2] + ["abc"] + row[3:])
+    emb = tmp_path / "emb_bad.txt"
+    emb.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    rc, _, err = _run([
+        "segment",
+        "--input", str(workdir / "raw.txt"),
+        "--dict", str(workdir / "dict.tsv"),
+        "--emb", str(emb),
+        "--no-cache",
+        "--out", str(tmp_path / "never.txt"),
+    ])
+    assert rc == 1
+    assert err.startswith(f"error: {emb}:4: could not convert string to float")
+
+
+def test_output_path_that_is_a_directory_is_a_clean_error(trained, tmp_path):
+    workdir, _ = trained
+    rc, _, err = _run([
+        "segment",
+        "--input", str(workdir / "raw.txt"),
+        "--dict", str(workdir / "dict.tsv"),
+        "--emb", str(workdir / "emb.txt"),
+        "--cache", str(workdir / "sim.bin"),
+        "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err.startswith("error: ") and "Is a directory" in err

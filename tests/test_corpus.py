@@ -17,6 +17,7 @@ from embseg.corpus import (
     read_segmented_corpus,
     reassemble,
     split_fragments,
+    strip_delimiters,
     unescape_token,
 )
 from embseg.synth import make_mixed_lines
@@ -53,6 +54,34 @@ def test_split_fragments_empty_line():
 )
 def test_is_word_char(ch, expected):
     assert is_word_char(ch) is expected
+
+
+# the documented word-character ranges, inclusive
+_WORD_RANGES = [(0x30, 0x39), (0x41, 0x5A), (0x61, 0x7A), (0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xFF10, 0xFF19)]
+
+
+def _in_word_ranges(cp):
+    return any(lo <= cp <= hi for lo, hi in _WORD_RANGES)
+
+
+@pytest.mark.parametrize("lo,hi", _WORD_RANGES)
+def test_word_char_range_edges(lo, hi):
+    assert [is_word_char(chr(cp)) for cp in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)] == [
+        False, True, True, True, True, False,
+    ]
+
+
+def test_word_char_class_over_the_bmp():
+    text = "".join(map(chr, range(0x10000)))
+    want = [_in_word_ranges(cp) for cp in range(0x10000)]
+    assert [is_word_char(ch) for ch in text] == want
+    assert strip_delimiters(text) == "".join(ch for ch, keep in zip(text, want) if keep)
+    pieces = split_fragments(text)
+    assert "".join(p.text for p in pieces) == text
+    pos = 0
+    for p in pieces:
+        assert set(want[pos:pos + len(p.text)]) == {p.kind == FRAGMENT}
+        pos += len(p.text)
 
 
 _ALPHABET = "天地人山水ab12５Ａ。，!? ⟨⟩«»"

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embseg import decoder
-from embseg.corpus import BOS, EOS
+from embseg.corpus import BOS, EOS, is_word_char
 from embseg.decoder import (
     BeamParams,
     Hypothesis,
     _carve_baseline,
     _decode_with_growth,
     _min_tiling_len,
-    _rank_key,
     beam_search,
-    extend,
     recompute_mean_logp,
     segment_sentence,
     word_logp,
@@ -54,29 +52,69 @@ def test_word_logp_window_and_empty():
     assert word_logp(w, ids, cache, 10) == pytest.approx((9.9 + 0.1 + 0.2 + 0.3 + 0.4) / 5)
 
 
-def test_extend_candidates():
-    lex = _make_lexicon(["a", "ab"])
-    cache = _table_cache(lex)
-    bos = lex.id_of(BOS)
-    start = Hypothesis((bos,), "", 1, 0.0, (bos,), ())
+def _rank_key(h):
+    """Reference sort key of a hypothesis, computed from scratch; smaller
+    ranks first."""
+    neg_lens = tuple(-x for x in h.lens)
+    return (-round(h.mean_logp() * 1e9), h.word_count, neg_lens, h.seg)
 
-    outs = extend(start, "a", lex, 5, cache, 4)
-    assert [h.buf for h in outs] == ["a"]  # empty buffer cannot flush
 
-    h = outs[0]
-    outs2 = extend(h, "b", lex, 5, cache, 4)
-    assert {o.buf for o in outs2} == {"ab", "b"}
-    flushed = next(o for o in outs2 if o.buf == "b")
-    assert flushed.seg == (bos, lex.id_of("a"))
-    assert flushed.word_count == 2
-    assert flushed.lens == (1,)
+def _flushed_rank(sum_logp, word_count, neg_lens, seg):
+    return (-round(sum_logp / (word_count - 1) * 1e9), word_count, neg_lens, seg)
 
-    outs3 = extend(h, "b", lex, 1, cache, 4)  # buffer would exceed the bound
-    assert [o.buf for o in outs3] == ["b"]
 
-    hx = h._replace(buf="x")
-    outs4 = extend(hx, "y", lex, 5, cache, 4)  # buffer not a word: no flush
-    assert [o.buf for o in outs4] == ["xy"]
+def _extend(h, ch, lexicon, max_word_len, cache, window):
+    """Reference successors of h for one more character.
+
+    Candidate A appends the character to the buffer while the buffer stays
+    within max_word_len and keeps the rank; candidate B flushes the buffer
+    as a word (only if it is in the dictionary), opens a fresh buffer with
+    the character and extends the rank by the new word.
+    """
+    out = []
+    rank = h.rank or _rank_key(h)
+    if len(h.buf) + 1 <= max_word_len:
+        out.append(Hypothesis(h.seg, h.buf + ch, h.word_count, h.sum_logp, h.recent, h.lens, rank))
+    if h.buf and h.buf in lexicon:
+        wid = lexicon.id_of(h.buf)
+        seg = h.seg + (wid,)
+        count = h.word_count + 1
+        total = h.sum_logp + word_logp(wid, h.recent, cache, window)
+        out.append(Hypothesis(
+            seg, ch, count, total, (h.recent + (wid,))[-window:], h.lens + (len(h.buf),),
+            _flushed_rank(total, count, rank[2] + (-len(h.buf),), seg),
+        ))
+    return out
+
+
+def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
+    """beam_search built from _extend and _rank_key: (result, finals)."""
+    bos, eos = lex.id_of(BOS), lex.id_of(EOS)
+    beam = [Hypothesis((bos,), "", 1, 0.0, (bos,), ())]
+    for ch in fragment:
+        cands = [c for h in beam for c in _extend(h, ch, lex, max_word_len, cache, window)]
+        if not cands:
+            return None, []
+        beam = sorted(cands, key=_rank_key)[:beam_size]
+    finals = []
+    for h in beam:
+        if h.buf not in lex:
+            continue
+        wid = lex.id_of(h.buf)
+        logp_w = word_logp(wid, h.recent, cache, window)
+        recent = (h.recent + (wid,))[-window:]
+        logp_e = word_logp(eos, recent, cache, window)
+        seg = h.seg + (wid, eos)
+        count = h.word_count + 2
+        total = h.sum_logp + logp_w + logp_e
+        finals.append(Hypothesis(
+            seg, "", count, total, (recent + (eos,))[-window:], h.lens + (len(h.buf),),
+            _flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg),
+        ))
+    if not finals:
+        return None, finals
+    best = min(finals, key=_rank_key)
+    return ([lex.word_of(i) for i in best.seg[1:-1]], best.mean_logp()), finals
 
 
 def _all_segmentations(frag):
@@ -261,7 +299,7 @@ def test_carried_rank_equals_recomputed(case):
     bos = lex.id_of(BOS)
     beam = [Hypothesis((bos,), "", 1, 0.0, (bos,), ())]
     for ch in fragment:
-        cands = [c for h in beam for c in extend(h, ch, lex, params.max_word_len, cache, window)]
+        cands = [c for h in beam for c in _extend(h, ch, lex, params.max_word_len, cache, window)]
         for c in cands:
             assert c.rank == _rank_key(c)
         beam = sorted(cands, key=_rank_key)[:params.beam_size]
@@ -271,6 +309,46 @@ def test_carried_rank_equals_recomputed(case):
     )
     for h in finals:
         assert h.rank == _rank_key(h)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_beam_search_matches_reference_beam(case):
+    fragment, lex, cache, params, window = case
+    for k, m in ((params.beam_size, params.max_word_len), (params.beam_size + 3, lex.longest + 2)):
+        want = _reference_beam(fragment, lex, cache, k, m, window)
+        got = beam_search(fragment, lex, cache, beam_size=k, max_word_len=m, window=window,
+                          return_finals=True)
+        assert got == want
+
+
+def test_dead_buffer_holds_the_only_slot():
+    # Every cosine is negative, so a flushed word scores below the begin
+    # marker's 0 and the unflushed buffer ranks first.  At six characters
+    # the buffer is longer than any dictionary entry and can never flush,
+    # but it still fits max_word_len=6 and so keeps the only beam slot.
+    lex = _make_lexicon(["a", "aaaaa"])
+    cache = _table_cache(lex, default=-0.5)
+    assert lex.longest == 5  # the markers are five characters long
+    assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=5) == (["aaaaa", "a"], -0.5)
+    assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=6, return_finals=True) == (None, [])
+    assert beam_search("aaaaaa", lex, cache, beam_size=2, max_word_len=6)[0] == ["a"] * 6
+    counters = {}
+    out = segment_sentence("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=6, retry_cap=0),
+                           baseline_tokens=["aaaaaa"], counters=counters)
+    assert (out, counters["fallbacks"]) == ("aaaaaa", 1)
+
+
+@pytest.mark.parametrize("fragment", ["abcabc", "ababcab", "cabcabcab"])
+@pytest.mark.parametrize("max_word_len", [5, 6, 7])
+def test_dead_buffers_match_reference(fragment, max_word_len):
+    lex = _make_lexicon(["a", "b", "c", "ab", "abcab"])
+    cache = _table_cache(lex, default=-0.25, overrides={("a", "b"): 0.5, ("ab", "c"): -0.75})
+    for beam_size in (1, 2, 3):
+        want = _reference_beam(fragment, lex, cache, beam_size, max_word_len, 4)
+        got = beam_search(fragment, lex, cache, beam_size=beam_size, max_word_len=max_word_len,
+                          return_finals=True)
+        assert got == want
 
 
 def test_min_tiling_len():
@@ -322,6 +400,34 @@ def test_carve_baseline_drops_delimiters_and_splits():
     assert _carve_baseline(["a", "b。c", "d"], ["ab", "cd"]) == [["a", "b"], ["c", "d"]]
     with pytest.raises(ValueError, match="cover"):
         _carve_baseline(["ab"], ["abc"])
+
+
+def _reference_carve(tokens, frags):
+    """Baseline tokens with delimiters dropped, cut at fragment boundaries,
+    one character at a time."""
+    clean = ["".join(ch for ch in tok if is_word_char(ch)) for tok in tokens]
+    clean = [tok for tok in clean if tok]
+    out, ti, offset = [], 0, 0
+    for frag in frags:
+        words = []
+        for _ in frag:
+            if offset == 0 or not words:
+                words.append("")
+            words[-1] += clean[ti][offset]
+            offset += 1
+            if offset == len(clean[ti]):
+                ti, offset = ti + 1, 0
+        out.append(words)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.text(alphabet="ab。 ", max_size=4), max_size=8), st.data())
+def test_carve_baseline_matches_reference(tokens, data):
+    text = "".join(ch for ch in "".join(tokens) if is_word_char(ch))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(text) - 1)))) & set(range(1, len(text))))
+    frags = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)]) if text[i:j]]
+    assert _carve_baseline(tokens, frags) == _reference_carve(tokens, frags)
 
 
 def test_fallback_carve_with_delimiters():

@@ -1,4 +1,6 @@
 """Dictionary bookkeeping and the subsampling rules."""
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def test_load_malformed(tmp_path):
         Lexicon.load(str(bad))
     bad.write_text("w\tnot-an-int\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not an integer"):
+        Lexicon.load(str(bad))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a\t1\nb\t2\n\na\t3\n", r":4: duplicate word 'a' \(first on line 1\)"),
+    ("a\t1\nb\t0\n", ":2: count must be >= 1"),
+    ("\n", ": no entries"),
+], ids=["duplicate", "zero-count", "empty"])
+def test_load_errors_name_file_and_line(tmp_path, text, message):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(bad)) + message):
         Lexicon.load(str(bad))
 
 

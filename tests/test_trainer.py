@@ -1,5 +1,6 @@
 """Objective terms, gradients, and the training loop."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,18 @@ def test_load_embeddings_validation(tmp_path):
         load_embeddings(str(p))
     p.write_text("1 1\nw 0.5\nv 0.25\n", encoding="utf-8")
     with pytest.raises(ValueError, match="more rows"):
+        load_embeddings(str(p))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("2 3\nu 0.5 0.25 1\nw 0.5 abc 1\n", 3),
+    ("2 x\n", 1),
+    ("0 3\n", 1),
+], ids=["bad-float", "bad-header", "no-rows"])
+def test_load_embeddings_errors_name_file_and_line(tmp_path, text, line):
+    p = tmp_path / "emb.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: "):
         load_embeddings(str(p))
 
 
