@@ -30,7 +30,7 @@ from .sampler import (
     noise_negatives,
     positives,
 )
-from .simcache import SimilarityCache, build_cache, export_tsv, load_cache, save_cache
+from .simcache import SimilarityCache, build_cache, load_cache, save_cache
 from .synth import (
     ToyLanguage,
     corrupt,
@@ -84,7 +84,6 @@ __all__ = [
     "positives",
     "SimilarityCache",
     "build_cache",
-    "export_tsv",
     "load_cache",
     "save_cache",
     "ToyLanguage",

@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 import time
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 from .corpus import read_segmented_corpus
 from .decoder import BeamParams, segment_sentence
@@ -171,6 +175,39 @@ def _load_artifacts(args: argparse.Namespace) -> tuple[Lexicon, SimilarityCache]
     return lexicon, SimilarityCache(emb)
 
 
+@contextmanager
+def _replaced_on_success(path: str) -> Iterator[TextIO]:
+    """A new file beside `path`, moved onto it when the block completes and
+    removed when it fails, so `path` never holds a partial write.
+
+    The file is opened before the block runs, so an unwritable path fails
+    first.  It gets the mode open(path, "w") would leave: that of the file
+    it replaces, or the default for a new one.  An existing path that is
+    not a regular file (a directory fails, /dev/stdout works) is opened
+    directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    real = os.path.realpath(path)  # through a symlink, replace its target
+    head, tail = os.path.split(real)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if os.path.exists(real):
+                shutil.copymode(real, tmp)
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_segment(args: argparse.Namespace) -> int:
     lexicon, cache = _load_artifacts(args)
     params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len)
@@ -183,19 +220,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 f"--baseline has {len(baselines)} lines, --input has {len(lines)}"
             )
 
-    out_lines = []
-    for lineno, (line, base) in enumerate(zip(lines, baselines), start=1):
-        try:
-            out_lines.append(
-                segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
-            )
-        except ValueError as exc:
-            if base is None:
-                raise
-            raise ValueError(f"{args.baseline}:{lineno}: {exc}") from None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for line in out_lines:
-            fh.write(line + "\n")
+    with _replaced_on_success(args.out) as fh:
+        for lineno, (line, base) in enumerate(zip(lines, baselines), start=1):
+            try:
+                out = segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
+            except ValueError as exc:
+                if base is None:
+                    raise
+                raise ValueError(f"{args.baseline}:{lineno}: {exc}") from None
+            fh.write(out + "\n")
     return 0
 
 

@@ -69,8 +69,9 @@ class BeamParams:
 
 
 class Hypothesis(NamedTuple):
+    """A closed segmentation, as beam_search lists its finals."""
+
     seg: tuple[int, ...]        # flushed word ids, begin marker first
-    buf: str                    # open character buffer
     word_count: int             # len(seg)
     sum_logp: float             # sum of per-word log probabilities
     recent: tuple[int, ...]     # last min(window, word_count) ids, oldest first
@@ -215,7 +216,7 @@ def beam_search(
         # interpreter's free list of that size and overfills the others
         lens = tuple([-x for x in neg_lens])
         finals.append(Hypothesis(
-            seg, "", count, total, (recent + (eos,))[-window:], lens,
+            seg, count, total, (recent + (eos,))[-window:], lens,
             (-round(total / (count - 1) * _SCORE_QUANTUM), count, neg_lens, seg),
         ))
     if not finals:

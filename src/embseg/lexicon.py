@@ -1,4 +1,4 @@
-"""Word dictionary with counts, frequencies, and target-subsampling rules."""
+"""Word dictionary with counts and the target-subsampling rules."""
 from __future__ import annotations
 
 from types import MappingProxyType
@@ -31,15 +31,15 @@ class Lexicon:
             raise ValueError("duplicate word in lexicon")
         self._index_view = MappingProxyType(self._index)
         self.total_tokens = int(self._counts.sum())
-        self.longest = max(map(len, self._words))  # characters in the longest entry
+        # characters in the longest real word; the markers never occur in text
+        self.longest = max((len(w) for w in self._words if w not in MARKERS), default=0)
 
     @classmethod
-    def from_sentences(cls, sentences: Iterable[list[str]], add_markers: bool = True) -> "Lexicon":
-        """Count every token of a segmented corpus, markers included by default."""
+    def from_sentences(cls, sentences: Iterable[list[str]]) -> "Lexicon":
+        """Count every token of a segmented corpus, boundary markers included."""
         counts: dict[str, int] = {}
         for sent in sentences:
-            tokens = add_boundary_markers(sent) if add_markers else sent
-            for tok in tokens:
+            for tok in add_boundary_markers(sent):
                 counts[tok] = counts.get(tok, 0) + 1
         if not counts:
             raise ValueError("cannot build a lexicon from an empty corpus")
@@ -72,13 +72,6 @@ class Lexicon:
 
     def word_of(self, wid: int) -> str:
         return self._words[wid]
-
-    def count_of(self, wid: int) -> int:
-        return int(self._counts[wid])
-
-    def freq(self, wid: int) -> float:
-        """Relative frequency count/total, always in (0, 1]."""
-        return float(self._counts[wid]) / self.total_tokens
 
     def save(self, path: str) -> None:
         """One 'word<TAB>count' line per entry, in id order."""
@@ -129,13 +122,7 @@ class SubsampleTable:
     atomic symbols and never receive the override.
     """
 
-    def __init__(
-        self,
-        lexicon: Lexicon,
-        epsilon: float = 1e-5,
-        mu: float = 0.5,
-        atomic: frozenset[str] = MARKERS,
-    ):
+    def __init__(self, lexicon: Lexicon, epsilon: float = 1e-5, mu: float = 0.5):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if mu <= 0:
@@ -147,7 +134,7 @@ class SubsampleTable:
         self.p_sub = np.minimum(1.0, np.sqrt(epsilon / freqs))
         self.keep_override = np.zeros(len(lexicon), dtype=bool)
         for wid, word in enumerate(lexicon.words):
-            if word in atomic:
+            if word in MARKERS:
                 continue
             self.keep_override[wid] = self._multichar_keep(word, wid)
 
@@ -173,14 +160,3 @@ class SubsampleTable:
             return False
         threshold = self.mu / len(ids) * float(self.p_sub[ids].sum())
         return float(self.p_sub[wid]) < threshold
-
-    def sample_target(self, word: str, rng: np.random.Generator) -> bool:
-        """Decide whether one occurrence of `word` becomes a training target.
-
-        Deterministically true under the multi-character override (no random
-        draw is consumed); otherwise a Bernoulli draw at the keep probability.
-        """
-        wid = self.lexicon.id_of(word)
-        if self.keep_override[wid]:
-            return True
-        return bool(rng.random() < self.p_sub[wid])

@@ -82,7 +82,7 @@ def context_negatives(words: list[str], i: int, window: int, lexicon: Lexicon) -
     right = "".join(w for w in words[i + 1:hi] if w not in MARKERS)
     target_id = lexicon.id_of(words[i])
     index = lexicon.index
-    longest = lexicon.longest  # no longer substring can be in the dictionary
+    longest = lexicon.longest  # no longer substring is a real word
     out: list[tuple[int, int]] = []
     emitted: set[str] = set()
     for seq in (left, right):
@@ -122,18 +122,9 @@ def inword_negatives(word: str, lexicon: Lexicon) -> list[tuple[int, int]]:
     return out
 
 
-def noise_negatives(
-    target: int,
-    n: int,
-    rng: np.random.Generator,
-    vocab_size: int,
-    cdf: np.ndarray | None = None,
-) -> list[tuple[int, int]]:
-    """n noise pairs drawn over the vocabulary, redrawing on the target itself.
-
-    Uniform by default; passing a cumulative distribution switches to that
-    law (used for the frequency-weighted option).
-    """
+def noise_negatives(target: int, n: int, rng: np.random.Generator, vocab_size: int) -> list[tuple[int, int]]:
+    """n noise pairs drawn uniformly over the vocabulary, redrawing on the
+    target itself."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > 0 and vocab_size < 2:
@@ -141,10 +132,7 @@ def noise_negatives(
     out: list[tuple[int, int]] = []
     for _ in range(n):
         while True:
-            if cdf is None:
-                other = int(rng.integers(vocab_size))
-            else:
-                other = int(np.searchsorted(cdf, rng.random(), side="right"))
+            other = int(rng.integers(vocab_size))
             if other != target:
                 break
         out.append((target, other))
@@ -176,25 +164,20 @@ def build_occurrence_batch(
     window: int = 4,
     n_noise: int = 1,
     eta: float = 0.2,
-    weight_mode: str = "occurrence",
-    noise_cdf: np.ndarray | None = None,
 ) -> OccurrenceBatch | None:
     """All weighted samples for one sampled target occurrence.
 
     Negatives are deduplicated by (target, other) within the batch, first
     generation wins (context, then in-word, then noise).  Returns None when
-    the occurrence yields no positive pair.  weight_mode "occurrence"
-    computes the negative weight from this batch's counts; "pair" treats
-    each positive as its own unit (n_pos fixed at 1).
+    the occurrence yields no positive pair.  The negative weight comes from
+    this batch's class counts.
     """
-    if weight_mode not in ("occurrence", "pair"):
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
     pos = positives(ids, i, window)
     if not pos:
         return None
     raw = [(t, o, CTX_NEG) for t, o in context_negatives(words, i, window, lexicon)]
     raw += [(t, o, INWORD_NEG) for t, o in inword_negatives(words[i], lexicon)]
-    raw += [(t, o, NOISE_NEG) for t, o in noise_negatives(ids[i], n_noise, rng, len(lexicon), noise_cdf)]
+    raw += [(t, o, NOISE_NEG) for t, o in noise_negatives(ids[i], n_noise, rng, len(lexicon))]
     seen: set[tuple[int, int]] = set()
     negs: list[tuple[int, int, str]] = []
     for t, o, src in raw:
@@ -203,7 +186,7 @@ def build_occurrence_batch(
         seen.add((t, o))
         negs.append((t, o, src))
     n_pos, n_neg = len(pos), len(negs)
-    _, w_neg = class_weights(n_pos if weight_mode == "occurrence" else 1, n_neg, eta)
+    _, w_neg = class_weights(n_pos, n_neg, eta)
     samples = tuple(
         [TrainingSample(t, o, POSITIVE, CTX_POS, 1.0) for t, o in pos]
         + [TrainingSample(t, o, NEGATIVE, src, w_neg) for t, o, src in negs]

@@ -25,7 +25,6 @@ __all__ = [
     "build_cache",
     "save_cache",
     "load_cache",
-    "export_tsv",
 ]
 
 _MAGIC = b"WCSC"
@@ -190,9 +189,3 @@ def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
         raise ValueError(f"{path}: cache built from different embeddings; re-run train")
     return cache
 
-
-def export_tsv(path: str, cache: SimilarityCache, lexicon: Lexicon) -> None:
-    """Plain-text audit dump: word_a<TAB>word_b<TAB>cosine, ids sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (a, b), c in sorted(cache.table.items()):
-            fh.write(f"{lexicon.word_of(a)}\t{lexicon.word_of(b)}\t{c!r}\n")

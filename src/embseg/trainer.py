@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,11 +33,13 @@ log = logging.getLogger(__name__)
 
 _MIN_NORM = 1e-12
 _SWEEP_EVERY = 1000  # occurrence batches between finiteness sweeps
+_LR_START = 0.025    # learning rate at the first token position
+_LR_END = 1e-4       # learning rate approached at the last one
 
 
 @dataclass
 class TrainerConfig:
-    """Sampling, objective, and schedule hyperparameters."""
+    """Sampling, objective, and schedule hyperparameters: the `train` flags."""
 
     epsilon: float = 1e-5        # subsampling threshold
     mu: float = 0.5              # multi-character keep threshold
@@ -46,12 +48,7 @@ class TrainerConfig:
     eta: float = 0.2             # class-weight smoothing
     window: int = 4              # context window
     epochs: int = 1
-    lr_start: float = 0.025
-    lr_end: float = 1e-4
     seed: int = 0
-    tied: bool = True            # one vector per word for both pair roles
-    weight_mode: str = "occurrence"      # or "pair"
-    noise_distribution: str = "uniform"  # or "unigram75"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0 or self.mu <= 0:
@@ -62,12 +59,6 @@ class TrainerConfig:
             raise ValueError("dim, window, and epochs must be >= 1")
         if self.n_noise < 0:
             raise ValueError("n_noise must be >= 0")
-        if self.lr_start <= 0 or self.lr_end <= 0 or self.lr_end > self.lr_start:
-            raise ValueError("need 0 < lr_end <= lr_start")
-        if self.weight_mode not in ("occurrence", "pair"):
-            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.noise_distribution not in ("uniform", "unigram75"):
-            raise ValueError(f"unknown noise_distribution {self.noise_distribution!r}")
 
 
 def init_embeddings(vocab_size: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,29 +98,18 @@ def _log_sigmoid(x: float) -> float:
     return x - math.log1p(math.exp(x))
 
 
-def sample_loss(
-    sample: TrainingSample,
-    emb: np.ndarray,
-    emb_other: np.ndarray | None = None,
-) -> float:
+def sample_loss(sample: TrainingSample, emb: np.ndarray) -> float:
     """Weighted log-sigmoid objective term of one sample.
 
     Positives score log(sigmoid(cos)), negatives log(sigmoid(-cos)); the
-    term is maximized during training.  emb_other supplies the second table
-    in the untied variant.
+    term is maximized during training.
     """
-    other_table = emb if emb_other is None else emb_other
-    cos = pair_score(emb[sample.target], other_table[sample.other])
+    cos = pair_score(emb[sample.target], emb[sample.other])
     sign = 1.0 if sample.label == POSITIVE else -1.0
     return sample.weight * _log_sigmoid(sign * cos)
 
 
-def train_step(
-    sample: TrainingSample,
-    emb: np.ndarray,
-    lr: float,
-    emb_other: np.ndarray | None = None,
-) -> None:
+def train_step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
     """One gradient-ascent update on the two rows touched by `sample`.
 
     d/dcos of weight*log(sigmoid(s*cos)) is weight*s*sigmoid(-s*cos), and
@@ -138,9 +118,8 @@ def train_step(
     the row views (when target == other both land on the same row, in the
     same order).
     """
-    other_table = emb if emb_other is None else emb_other
     u = emb[sample.target]
-    v = other_table[sample.other]
+    v = emb[sample.other]
     # exactly np.linalg.norm of a 1-D float64 vector, without its overhead
     nu = math.sqrt(u.dot(u))
     nv = math.sqrt(v.dot(v))
@@ -154,15 +133,6 @@ def train_step(
     dv = coef * (u * inv - v * (cos / (nv * nv)))
     u += du
     v += dv
-
-
-def _noise_cdf(lexicon: Lexicon, distribution: str) -> np.ndarray | None:
-    if distribution == "uniform":
-        return None
-    weights = lexicon.counts.astype(np.float64) ** 0.75
-    cdf = np.cumsum(weights / weights.sum())
-    cdf[-1] = 1.0
-    return cdf
 
 
 def _repair_rows(emb: np.ndarray, rng: np.random.Generator, where: str) -> None:
@@ -189,19 +159,16 @@ def train(
     `sentences` are token lists without boundary markers; markers are added
     here and must already be counted in the lexicon.  Tokens missing from
     the lexicon are an error.  The learning rate decays linearly from
-    lr_start to lr_end over all token positions of all epochs.  The result
+    0.025 towards 1e-4 over all token positions of all epochs.  The result
     is a deterministic function of the corpus, lexicon, and config.
-    Returns the V x dim table (the target-side table in the untied
-    variant).
+    Returns the V x dim table.
 
     sample_sink, when given, receives every generated TrainingSample in
     order; used for audit dumps.
     """
     rng = np.random.default_rng(config.seed)
     emb = init_embeddings(len(lexicon), config.dim, rng)
-    emb_other = None if config.tied else init_embeddings(len(lexicon), config.dim, rng)
     table = SubsampleTable(lexicon, config.epsilon, config.mu)
-    cdf = _noise_cdf(lexicon, config.noise_distribution)
 
     wrapped: list[tuple[list[str], list[int]]] = []
     for sent in sentences:
@@ -215,7 +182,7 @@ def train(
 
     p_sub = table.p_sub.tolist()
     keep = table.keep_override.tolist()
-    lr_span = config.lr_start - config.lr_end
+    lr_span = _LR_START - _LR_END
     processed = 0  # token positions before the current sentence
     batches = 0
     for _ in range(config.epochs):
@@ -227,15 +194,14 @@ def train(
                 batch = build_occurrence_batch(
                     words, ids, i, lexicon, rng,
                     window=config.window, n_noise=config.n_noise, eta=config.eta,
-                    weight_mode=config.weight_mode, noise_cdf=cdf,
                 )
                 if batch is None:
                     continue
-                lr = config.lr_start - lr_span * ((processed + i) / total_positions)
+                lr = _LR_START - lr_span * ((processed + i) / total_positions)
                 for sample in batch.samples:
                     if sample_sink is not None:
                         sample_sink(sample)
-                    train_step(sample, emb, lr, emb_other)
+                    train_step(sample, emb, lr)
                 batches += 1
                 if batches % _SWEEP_EVERY == 0:
                     _repair_rows(emb, rng, f"sweep at batch {batches}")
@@ -244,8 +210,6 @@ def train(
             processed += len(ids)
 
     _repair_rows(emb, rng, "final sweep")
-    if emb_other is not None:
-        _repair_rows(emb_other, rng, "final sweep, context table")
     if not np.isfinite(emb).all():
         raise FloatingPointError("non-finite embedding entries after training")
     return emb

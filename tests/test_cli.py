@@ -1,13 +1,19 @@
 """End-to-end checks of the command-line pipeline."""
 import contextlib
+import dataclasses
 import io
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
+from embseg import cli
 from embseg.cli import main
 from embseg.synth import corrupt, default_language, generate_corpus
+from embseg.trainer import TrainerConfig
 
 
 def _run(argv):
@@ -165,6 +171,28 @@ def test_train_no_cache_and_time_seed(workdir):
     summary = json.loads(out)
     assert summary["cache_entries"] is None
     assert isinstance(summary["seed"], int)  # time-seeded but echoed
+
+
+def test_every_trainer_config_field_is_a_train_flag(workdir, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(sentences, lexicon, config, **kwargs):
+        seen.append(config)
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "train", capture)
+    rc, _, _ = _run([
+        "train", "--corpus", str(workdir / "base.txt"),
+        "--dict", str(tmp_path / "d.tsv"), "--emb", str(tmp_path / "e.txt"), "--no-cache",
+        "--epsilon", "0.002", "--mu", "0.25", "--neg", "3", "--dim", "7",
+        "--eta", "0.5", "--window", "2", "--epochs", "2", "--seed", "11",
+    ])
+    assert rc == 1
+    want = TrainerConfig(epsilon=0.002, mu=0.25, n_noise=3, dim=7, eta=0.5, window=2, epochs=2, seed=11)
+    assert seen == [want]
+    default = TrainerConfig()
+    # a field no flag sets would keep its default here
+    assert all(getattr(want, f.name) != getattr(default, f.name) for f in dataclasses.fields(TrainerConfig))
 
 
 def test_dump_samples_tsv(workdir):
@@ -331,3 +359,102 @@ def test_output_path_that_is_a_directory_is_a_clean_error(trained, tmp_path):
     ])
     assert rc == 1
     assert err.startswith("error: ") and "Is a directory" in err
+
+
+def _segment_argv(workdir, raw, base, out):
+    return [
+        "segment",
+        "--input", str(raw),
+        "--dict", str(workdir / "dict.tsv"),
+        "--emb", str(workdir / "emb.txt"),
+        "--cache", str(workdir / "sim.bin"),
+        "--baseline", str(base),
+        "--out", str(out),
+    ]
+
+
+def _two_lines(tmp_path, second_base="天 地"):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("大人\n天地\n", encoding="utf-8")
+    base = tmp_path / "base.txt"
+    base.write_text(f"大 人\n{second_base}\n", encoding="utf-8")
+    return raw, base
+
+
+@pytest.mark.parametrize("where,message", [
+    ("dir", "Is a directory"),
+    ("missing/out.txt", "No such file or directory"),
+])
+def test_unwritable_out_fails_before_decoding(trained, tmp_path, monkeypatch, where, message):
+    workdir, _ = trained
+    raw, base = _two_lines(tmp_path)
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    calls = []
+
+    def decode(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("decoded a line before --out was checked")
+
+    monkeypatch.setattr(cli, "segment_sentence", decode)
+    rc, _, err = _run(_segment_argv(workdir, raw, base, tmp_path / where))
+    assert (rc, calls) == (1, [])
+    assert err == f"error: [Errno {21 if where == 'dir' else 2}] {message}: '{tmp_path / where}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_segment_leaves_no_files(trained, tmp_path, existing):
+    workdir, _ = trained
+    raw, base = _two_lines(tmp_path, second_base="天 人")  # line 2 does not cover its input
+    out = tmp_path / "out.txt"
+    if existing:
+        out.write_text("old\n", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    rc, _, err = _run(_segment_argv(workdir, raw, base, out))
+    assert rc == 1 and err.startswith(f"error: {base}:2: ")
+    assert sorted(tmp_path.iterdir()) == before
+    if existing:
+        assert out.read_text(encoding="utf-8") == "old\n"
+
+
+def test_segment_out_mode_is_that_of_a_plain_open(trained, tmp_path):
+    workdir, _ = trained
+    raw, base = _two_lines(tmp_path)
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    out = tmp_path / "out.txt"
+    assert _run(_segment_argv(workdir, raw, base, out))[0] == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    # a file that is replaced keeps its mode, as when opened in place
+    out.chmod(0o640)
+    assert _run(_segment_argv(workdir, raw, base, out))[0] == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_segment_out_through_a_symlink_and_a_pipe(trained, tmp_path):
+    workdir, _ = trained
+    raw, base = _two_lines(tmp_path)
+    out = tmp_path / "out.txt"
+    assert _run(_segment_argv(workdir, raw, base, out))[0] == 0
+    want = out.read_text(encoding="utf-8")
+
+    target = tmp_path / "target.txt"
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert _run(_segment_argv(workdir, raw, base, link))[0] == 0
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == want
+
+    # not a regular file: written through, never replaced
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    assert _run(_segment_argv(workdir, raw, base, pipe))[0] == 0
+    reader.join(10)
+    assert stat.S_ISFIFO(pipe.lstat().st_mode) and got == [want]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "base.txt", "link.txt", "out.txt", "pipe", "raw.txt", "target.txt",
+    ]

@@ -1,5 +1,6 @@
 """Beam decoder: scoring, ranking, growth, and fallbacks."""
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_word_logp_window_and_empty():
     assert word_logp(w, ids, cache, 10) == pytest.approx((9.9 + 0.1 + 0.2 + 0.3 + 0.4) / 5)
 
 
+class _Open(NamedTuple):
+    """A reference beam entry: a hypothesis with its open character buffer."""
+
+    seg: tuple
+    buf: str
+    word_count: int
+    sum_logp: float
+    recent: tuple
+    lens: tuple
+    rank: tuple = ()
+
+    mean_logp = Hypothesis.mean_logp
+
+
 def _rank_key(h):
     """Reference sort key of a hypothesis, computed from scratch; smaller
     ranks first."""
@@ -74,13 +89,13 @@ def _extend(h, ch, lexicon, max_word_len, cache, window):
     out = []
     rank = h.rank or _rank_key(h)
     if len(h.buf) + 1 <= max_word_len:
-        out.append(Hypothesis(h.seg, h.buf + ch, h.word_count, h.sum_logp, h.recent, h.lens, rank))
+        out.append(_Open(h.seg, h.buf + ch, h.word_count, h.sum_logp, h.recent, h.lens, rank))
     if h.buf and h.buf in lexicon:
         wid = lexicon.id_of(h.buf)
         seg = h.seg + (wid,)
         count = h.word_count + 1
         total = h.sum_logp + word_logp(wid, h.recent, cache, window)
-        out.append(Hypothesis(
+        out.append(_Open(
             seg, ch, count, total, (h.recent + (wid,))[-window:], h.lens + (len(h.buf),),
             _flushed_rank(total, count, rank[2] + (-len(h.buf),), seg),
         ))
@@ -90,7 +105,7 @@ def _extend(h, ch, lexicon, max_word_len, cache, window):
 def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
     """beam_search built from _extend and _rank_key: (result, finals)."""
     bos, eos = lex.id_of(BOS), lex.id_of(EOS)
-    beam = [Hypothesis((bos,), "", 1, 0.0, (bos,), ())]
+    beam = [_Open((bos,), "", 1, 0.0, (bos,), ())]
     for ch in fragment:
         cands = [c for h in beam for c in _extend(h, ch, lex, max_word_len, cache, window)]
         if not cands:
@@ -108,7 +123,7 @@ def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
         count = h.word_count + 2
         total = h.sum_logp + logp_w + logp_e
         finals.append(Hypothesis(
-            seg, "", count, total, (recent + (eos,))[-window:], h.lens + (len(h.buf),),
+            seg, count, total, (recent + (eos,))[-window:], h.lens + (len(h.buf),),
             _flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg),
         ))
     if not finals:
@@ -297,7 +312,7 @@ def test_growth_skipping_matches_every_round(case):
 def test_carried_rank_equals_recomputed(case):
     fragment, lex, cache, params, window = case
     bos = lex.id_of(BOS)
-    beam = [Hypothesis((bos,), "", 1, 0.0, (bos,), ())]
+    beam = [_Open((bos,), "", 1, 0.0, (bos,), ())]
     for ch in fragment:
         cands = [c for h in beam for c in _extend(h, ch, lex, params.max_word_len, cache, window)]
         for c in cands:
@@ -329,7 +344,7 @@ def test_dead_buffer_holds_the_only_slot():
     # but it still fits max_word_len=6 and so keeps the only beam slot.
     lex = _make_lexicon(["a", "aaaaa"])
     cache = _table_cache(lex, default=-0.5)
-    assert lex.longest == 5  # the markers are five characters long
+    assert lex.longest == 5  # aaaaa is five characters long
     assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=5) == (["aaaaa", "a"], -0.5)
     assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=6, return_finals=True) == (None, [])
     assert beam_search("aaaaaa", lex, cache, beam_size=2, max_word_len=6)[0] == ["a"] * 6

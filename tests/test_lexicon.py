@@ -1,7 +1,6 @@
 """Dictionary bookkeeping and the subsampling rules."""
 import re
 
-import numpy as np
 import pytest
 
 from embseg.corpus import BOS, EOS
@@ -9,16 +8,14 @@ from embseg.lexicon import Lexicon, SubsampleTable
 
 
 def test_counts_ids_and_lookup():
-    lex = Lexicon.from_sentences([["a", "b"], ["b", "c"]], add_markers=False)
-    assert lex.words == ("a", "b", "c")
-    assert lex.counts.tolist() == [1, 2, 1]
-    assert lex.total_tokens == 4
-    assert len(lex) == 3
+    lex = Lexicon.from_sentences([["a", "b"], ["b", "c"]])
+    assert lex.words == (BOS, "a", "b", EOS, "c")
+    assert lex.counts.tolist() == [2, 1, 2, 2, 1]
+    assert lex.total_tokens == 8
+    assert len(lex) == 5
     for wid, word in enumerate(lex.words):
         assert lex.id_of(word) == wid
         assert lex.word_of(wid) == word
-    assert lex.count_of(lex.id_of("b")) == 2
-    assert lex.freq(lex.id_of("b")) == 0.5
     assert "b" in lex
     assert "zz" not in lex
 
@@ -27,6 +24,11 @@ def test_markers_counted_by_default():
     lex = Lexicon.from_sentences([["a"]])
     assert lex.words == (BOS, "a", EOS)
     assert lex.total_tokens == 3
+
+
+def test_longest_counts_real_words_only():
+    assert Lexicon.from_sentences([["a", "b"]]).longest == 1
+    assert Lexicon((BOS, EOS), (1, 1)).longest == 0
 
 
 def test_unknown_word_message():
@@ -131,18 +133,3 @@ def test_markers_are_atomic():
     assert table.multichar_keep("ab") is True  # override fires for a real word
     assert table.multichar_keep(BOS) is False  # markers never qualify
 
-
-def test_sample_target_monte_carlo():
-    table = SubsampleTable(_flat_lexicon())
-    rng = np.random.default_rng(0)
-    n = 100_000
-    kept = sum(table.sample_target("four", rng) for _ in range(n))
-    assert abs(kept / n - 0.5) < 0.01
-
-
-def test_sample_target_override_skips_draw():
-    table = SubsampleTable(_danshi_lexicon(160000, 1423600))
-    rng = np.random.default_rng(7)
-    assert all(table.sample_target("但是", rng) for _ in range(5))
-    # no draw was consumed: the stream continues from its start
-    assert rng.random() == np.random.default_rng(7).random()

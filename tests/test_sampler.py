@@ -161,14 +161,6 @@ def test_noise_validation():
     assert noise_negatives(0, 0, rng, 1) == []
 
 
-def test_noise_custom_distribution():
-    rng = np.random.default_rng(4)
-    cdf = np.array([0.5, 0.5, 1.0])  # id 1 has zero mass; id 0 collides
-    pairs = noise_negatives(0, 200, rng, 3, cdf=cdf)
-    assert len(pairs) == 200
-    assert {o for _, o in pairs} == {2}
-
-
 def test_class_weights_frozen_point():
     assert class_weights(1, 4, 0.2) == (1.0, 0.375)
 
@@ -189,14 +181,22 @@ def _batch_fixture():
     return lex, words, ids
 
 
+class _FixedDraw:
+    """Stands in for the rng: every noise draw returns `wid`."""
+
+    def __init__(self, wid):
+        self.wid = wid
+
+    def integers(self, high):
+        assert 0 <= self.wid < high
+        return self.wid
+
+
 def test_batch_dedup_prefers_first_channel():
     lex, words, ids = _batch_fixture()
     bc = lex.id_of("bc")
-    cdf = np.zeros(len(lex))
-    cdf[bc:] = 1.0  # noise always draws bc, colliding with the context negative
-    batch = build_occurrence_batch(
-        words, ids, 3, lex, np.random.default_rng(0), n_noise=1, noise_cdf=cdf
-    )
+    # noise always draws bc, colliding with the context negative
+    batch = build_occurrence_batch(words, ids, 3, lex, _FixedDraw(bc), n_noise=1)
     assert batch.n_pos == 4
     assert batch.n_neg == 1
     negs = [s for s in batch.samples if s.label == NEGATIVE]
@@ -209,11 +209,7 @@ def test_batch_dedup_prefers_first_channel():
 def test_batch_noise_channel_survives_without_collision():
     lex, words, ids = _batch_fixture()
     c = lex.id_of("c")
-    cdf = np.zeros(len(lex))
-    cdf[c:] = 1.0
-    batch = build_occurrence_batch(
-        words, ids, 3, lex, np.random.default_rng(0), n_noise=1, noise_cdf=cdf
-    )
+    batch = build_occurrence_batch(words, ids, 3, lex, _FixedDraw(c), n_noise=1)
     sources = sorted(s.source for s in batch.samples if s.label == NEGATIVE)
     assert sources == [CTX_NEG, NOISE_NEG]
     assert batch.n_neg == 2
@@ -233,24 +229,6 @@ def test_batch_inword_channel():
     assert [(s.source, s.target, s.other) for s in negs] == [
         (INWORD_NEG, lex.id_of("b"), lex.id_of("c"))
     ]
-
-
-def test_batch_weight_mode_pair():
-    lex, words, ids = _batch_fixture()
-    batch = build_occurrence_batch(
-        words, ids, 3, lex, np.random.default_rng(0), n_noise=0, weight_mode="pair"
-    )
-    negs = [s for s in batch.samples if s.label == NEGATIVE]
-    assert len(negs) == 1
-    assert negs[0].weight == pytest.approx((1 + 0.2) / 1.2)
-
-
-def test_batch_rejects_unknown_weight_mode():
-    lex, words, ids = _batch_fixture()
-    with pytest.raises(ValueError):
-        build_occurrence_batch(
-            words, ids, 3, lex, np.random.default_rng(0), weight_mode="x"
-        )
 
 
 def test_batch_none_without_positives():

@@ -9,7 +9,6 @@ from embseg.lexicon import Lexicon
 from embseg.simcache import (
     SimilarityCache,
     build_cache,
-    export_tsv,
     load_cache,
     save_cache,
 )
@@ -197,16 +196,3 @@ def test_cache_file_rejects_trailing_and_missing_bytes(tmp_path):
     bad.write_bytes(raw[:-1])
     _rejected(bad, emb, "truncated")
 
-
-def test_export_tsv_parses_back(tmp_path):
-    sent = [["a", "b"]]
-    lex, emb = _setup(sent)
-    cache = build_cache(sent, lex, emb)
-    path = tmp_path / "sim.tsv"
-    export_tsv(str(path), cache, lex)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(cache.table)
-    for line in lines:
-        wa, wb, c = line.split("\t")
-        key = tuple(sorted((lex.id_of(wa), lex.id_of(wb))))
-        assert cache.table[key] == float(c)
