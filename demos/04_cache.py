@@ -44,7 +44,7 @@ def main() -> None:
 
     bare = SimilarityCache(emb)
     worst = max(
-        abs(val - bare.similarity(a, b)) for (a, b), val in loaded.table.items()
+        abs(val - bare.similarity(a, b)) for (a, b), val in loaded.pairs().items()
     )
     print(f"worst cached-vs-direct deviation: {worst:.2e}")
 

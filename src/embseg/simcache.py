@@ -6,14 +6,17 @@ them once up front removes most vector math from the decoder's inner
 loop.  Values are rounded to single precision on both the hit and the
 miss path, which keeps decoding bit-identical whether or not a table is
 loaded: the cache is a pure accelerator.
+
+In memory the table is a dict keyed by the packed int a * V + b of the
+unordered id pair a < b, V the vocabulary size; `SimilarityCache.pairs`
+gives it back keyed by (a, b).  Embeddings must be finite and nonzero.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import struct
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -34,16 +37,20 @@ _HEADER = struct.Struct(f"<IQ{_DIGEST_SIZE}s")  # after magic and version
 _MIN_NORM = 1e-12
 _ENTRY = np.dtype([("a", "<u4"), ("b", "<u4"), ("cos", "<f4")])
 _CHUNK = 128  # pairs per cosine batch: small, so the gathered rows do not raise peak memory
+_BLOCK = 1 << 14  # token ids per block of the pair walk: bounds its arrays on a long corpus
 
 
 class SimilarityCache:
     """Cosine scorer over word ids with an optional precomputed pair table.
 
-    Keys are unordered id pairs stored (smaller, larger).  hits and misses
-    count every query, so they always sum to the total number of lookups.
+    `pairs` maps id pairs (a, b), a < b, to cosines; `table` holds them
+    under the packed key a * V + b.  hits and misses count every query, so
+    they always sum to the total number of lookups.
     """
 
-    def __init__(self, embeddings: np.ndarray, table: dict[tuple[int, int], float] | None = None):
+    def __init__(self, embeddings: np.ndarray, pairs: Mapping[tuple[int, int], float] | None = None):
+        if not np.isfinite(embeddings).all():
+            raise ValueError("non-finite value in embedding table")
         norms = np.linalg.norm(embeddings, axis=1)
         if (norms < _MIN_NORM).any():
             raise ValueError("zero vector in embedding table")
@@ -51,21 +58,31 @@ class SimilarityCache:
         # row views: rows[a].dot(rows[b]) is np.dot's BLAS dot without its
         # per-call indexing and dispatch
         self._rows = list(self._unit)
-        self.table: dict[tuple[int, int], float] = table if table is not None else {}
+        self._vocab = v = int(embeddings.shape[0])
+        self.table: dict[int, float] = {}
+        for (a, b), val in (pairs or {}).items():
+            if not 0 <= a < b < v:
+                raise ValueError(f"pair ({a}, {b}) is not ids a < b < {v}")
+            self.table[a * v + b] = val
         self.hits = 0
         self.misses = 0
 
     @property
     def vocab_size(self) -> int:
-        return int(self._unit.shape[0])
+        return self._vocab
+
+    def pairs(self) -> dict[tuple[int, int], float]:
+        """The table keyed by id pairs (a, b), a < b, in table order."""
+        v = self._vocab
+        return {divmod(key, v): val for key, val in self.table.items()}
 
     def similarity(self, a: int, b: int) -> float:
         """Cosine of two word ids, symmetric in its arguments."""
         if a == b:
             self.hits += 1
             return 1.0
-        key = (a, b) if a < b else (b, a)
-        val = self.table.get(key)
+        v = self._vocab
+        val = self.table.get(a * v + b if a < b else b * v + a)
         if val is not None:
             self.hits += 1
             return val
@@ -88,33 +105,53 @@ def build_cache(
     words.
     """
     cache = SimilarityCache(embeddings)
-    pairs: set[tuple[int, int]] = set()
+    v = cache.vocab_size
+    # `window` separators after each sentence: no pair spans a sentence
+    # end, and a block cut at one loses no pair
+    gap = [-1] * window
+    blocks: list[np.ndarray] = []
+    ids: list[int] = []
     for sent in sentences:
-        ids = [lexicon.id_of(t) for t in add_boundary_markers(sent)]
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:i + 1 + window]:
-                if a != b:
-                    pairs.add((a, b) if a < b else (b, a))
-    keys = list(pairs)  # the table reuses these tuples
-    del pairs
-    ab, order = _sorted_ids(keys, len(keys))
+        ids += map(lexicon.id_of, add_boundary_markers(sent))
+        ids += gap
+        if len(ids) >= _BLOCK:
+            blocks.append(_window_keys(ids, window, v))
+            ids = []
+    blocks.append(_window_keys(ids, window, v))
+    keys = _sorted_unique(np.concatenate(blocks))
+    del blocks
+    a, b = np.divmod(keys, v)
     # A stacked vector-vector matmul runs each pair through the same BLAS
     # dot as the miss path, so a hit is bit-identical to a miss.
     unit = cache._unit
+    cos = np.empty(len(keys), dtype=np.float32)
     for lo in range(0, len(keys), _CHUNK):
-        idx = order[lo:lo + _CHUNK]
-        cos = np.matmul(unit[ab[idx, 0], None, :], unit[ab[idx, 1], :, None])
-        cache.table.update(zip(map(keys.__getitem__, idx.tolist()),
-                               cos.reshape(-1).astype(np.float32).tolist()))
+        hi = lo + _CHUNK
+        cos[lo:hi] = np.matmul(unit[a[lo:hi], None, :], unit[b[lo:hi], :, None]).reshape(-1)
+    cache.table = dict(zip(keys.tolist(), cos.tolist()))
     return cache
 
 
-def _sorted_ids(keys: Iterable[tuple[int, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n id pairs as an (n, 2) array and the order that sorts them;
-    sorting ids in numpy is several times faster than sorting the tuples."""
-    ab = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.uint32,
-                     count=2 * n).reshape(-1, 2)
-    return ab, np.lexsort((ab[:, 1], ab[:, 0]))
+def _window_keys(ids: list[int], window: int, v: int) -> np.ndarray:
+    """Sorted distinct packed keys of the pairs of unequal ids at most
+    `window` apart in `ids`; negative ids pair with nothing."""
+    arr = np.array(ids, dtype=np.int64)
+    keys = [np.empty(0, dtype=np.int64)]
+    for k in range(1, window + 1):
+        x, y = arr[:-k], arr[k:]
+        keep = (x >= 0) & (y >= 0) & (x != y)
+        x, y = x[keep], y[keep]
+        keys.append(np.minimum(x, y) * v + np.maximum(x, y))
+    return _sorted_unique(np.concatenate(keys))
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of `keys`, ascending.  np.unique does the same
+    but was many times slower than this sort and mask."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _unit_digest(unit: np.ndarray) -> bytes:
@@ -129,10 +166,10 @@ def save_cache(path: str, cache: SimilarityCache) -> None:
     (id_a u32, id_b u32, cos f32) triples with id_a < id_b, sorted."""
     table = cache.table
     n = len(table)
-    ab, order = _sorted_ids(table, n)
+    keys = np.fromiter(table, dtype=np.int64, count=n)
+    order = np.argsort(keys)
     rec = np.empty(n, dtype=_ENTRY)
-    rec["a"] = ab[order, 0]
-    rec["b"] = ab[order, 1]
+    rec["a"], rec["b"] = np.divmod(keys[order], cache.vocab_size)
     rec["cos"] = np.fromiter(table.values(), dtype=np.float32, count=n)[order]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -180,11 +217,14 @@ def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
             i = int(np.flatnonzero(bad)[0])
             a, b, c = rec[i].tolist()
             raise ValueError(f"{path}: record {i} ({a}, {b}, {c!r}): {what}")
-    table = dict(zip(zip(rec["a"].tolist(), rec["b"].tolist()), rec["cos"].tolist()))
-    del rec
+    # validated above, so b < V and no key aliases another pair's
+    keys = rec["a"].astype(np.int64) * vocab_size + rec["b"]
+    table = dict(zip(keys.tolist(), rec["cos"].tolist()))
+    del rec, keys
     # the unit rows come after the table is built and the records freed,
     # so they do not add to the load's peak memory
-    cache = SimilarityCache(embeddings, table)
+    cache = SimilarityCache(embeddings)
+    cache.table = table
     if digest != _unit_digest(cache._unit):
         raise ValueError(f"{path}: cache built from different embeddings; re-run train")
     return cache

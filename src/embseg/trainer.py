@@ -231,7 +231,8 @@ def save_embeddings(path: str, lexicon: Lexicon, emb: np.ndarray) -> None:
 
 
 def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
-    """Inverse of save_embeddings; validates the header against the body."""
+    """Inverse of save_embeddings; validates the header against the body
+    and rejects non-finite values."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         try:
@@ -251,10 +252,13 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: more rows than the header announces")
             words.append(parts[0])
             try:
-                emb[row] = [float(x) for x in parts[1:]]
+                emb[row] = list(map(float, parts[1:]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             row += 1
     if row != V:
         raise ValueError(f"{path}: header announces {V} rows, found {row}")
+    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite value")
     return words, emb

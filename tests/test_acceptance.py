@@ -294,7 +294,7 @@ def test_criterion_08_cache_transparency(synth_setup, tmp_path):
 
     bare = SimilarityCache(emb)
     assert loaded.table
-    for (a, b), val in loaded.table.items():
+    for (a, b), val in loaded.pairs().items():
         assert abs(val - bare.similarity(a, b)) <= 1e-6
 
     raw = ["".join(s) for s in gold]

@@ -458,3 +458,30 @@ def test_segment_out_through_a_symlink_and_a_pipe(trained, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "base.txt", "link.txt", "out.txt", "pipe", "raw.txt", "target.txt",
     ]
+
+
+@pytest.mark.parametrize("with_baseline", [False, True])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_segment_names_the_embedding_line_with_a_non_finite_value(trained, tmp_path, value,
+                                                                 with_baseline):
+    # a non-finite vector once reached the decoder, which blamed the baseline
+    workdir, _ = trained
+    lines = (workdir / "emb.txt").read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(" ")
+    lines[3] = " ".join(row[:2] + [value] + row[3:])
+    emb = tmp_path / "emb_bad.txt"
+    emb.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    argv = [
+        "segment",
+        "--input", str(workdir / "raw.txt"),
+        "--dict", str(workdir / "dict.tsv"),
+        "--emb", str(emb),
+        "--no-cache",
+        "--out", str(tmp_path / "never.txt"),
+    ]
+    if with_baseline:
+        argv += ["--baseline", str(workdir / "base.txt")]
+    rc, _, err = _run(argv)
+    assert rc == 1
+    assert err == f"error: {emb}:4: non-finite value\n"
+    assert not (tmp_path / "never.txt").exists()

@@ -1,12 +1,16 @@
 """Similarity cache: build scope, file format, transparency."""
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from embseg.corpus import BOS, EOS
+from embseg import simcache
+from embseg.corpus import BOS, EOS, add_boundary_markers
 from embseg.lexicon import Lexicon
 from embseg.simcache import (
+    _ENTRY,
+    _HEADER,
     SimilarityCache,
     build_cache,
     load_cache,
@@ -28,7 +32,7 @@ def test_build_cache_window_pairs_exact():
     expected = {
         tuple(sorted((x, y))) for x in ids for y in ids if x != y
     }
-    assert set(cache.table) == expected
+    assert set(cache.pairs()) == expected
     assert len(cache.table) == 6
 
 
@@ -37,7 +41,7 @@ def test_build_cache_window_bound():
     lex, emb = _setup(sent)
     cache = build_cache(sent, lex, emb, window=1)
     ids = [lex.id_of(t) for t in (BOS, "w1", "w2", "w3", "w4", "w5", "w6", EOS)]
-    assert set(cache.table) == {tuple(sorted(p)) for p in zip(ids, ids[1:])}
+    assert set(cache.pairs()) == {tuple(sorted(p)) for p in zip(ids, ids[1:])}
 
 
 def test_cached_values_equal_miss_path_bitwise():
@@ -46,7 +50,7 @@ def test_cached_values_equal_miss_path_bitwise():
     cache = build_cache(sent, lex, emb)
     bare = SimilarityCache(emb)
     assert cache.table
-    for (a, b), val in cache.table.items():
+    for (a, b), val in cache.pairs().items():
         assert bare.similarity(a, b) == val
         assert abs(val) <= 1.0000001
 
@@ -59,11 +63,12 @@ def test_cached_values_equal_miss_path_bitwise_across_chunks(dim):
     lex = Lexicon.from_sentences(sent)
     emb = rng.normal(size=(len(lex), dim))
     cache = build_cache(sent, lex, emb)
-    keys = list(cache.table)
+    pairs = cache.pairs()
+    keys = list(pairs)
     assert len(keys) > 4096  # more than one batch of cosines
     assert keys == sorted(keys)
     bare = SimilarityCache(emb)
-    cached = np.array([cache.table[k] for k in keys])
+    cached = np.array([pairs[k] for k in keys])
     direct = np.array([bare.similarity(a, b) for a, b in keys])
     assert cached.tobytes() == direct.tobytes()
 
@@ -107,7 +112,8 @@ def test_cache_file_round_trip(tmp_path):
     path = str(tmp_path / "sim.bin")
     save_cache(path, cache)
     back = load_cache(path, emb)
-    assert back.table == cache.table
+    assert back.pairs() == cache.pairs()
+    assert list(back.pairs().items()) == list(cache.pairs().items())
 
 
 def test_cache_file_validation(tmp_path):
@@ -156,7 +162,7 @@ def test_cache_file_rejects_other_embeddings(tmp_path):
 def test_cache_file_rejects_version_1(tmp_path):
     sent = [["a", "b"]]
     lex, emb = _setup(sent)
-    table = build_cache(sent, lex, emb).table
+    table = build_cache(sent, lex, emb).pairs()
     rec = b"".join(struct.pack("<IIf", a, b, c) for (a, b), c in sorted(table.items()))
     path = tmp_path / "v1.bin"
     path.write_bytes(b"WCSC" + bytes([1]) + struct.pack("<IQ", len(lex), len(table)) + rec)
@@ -177,8 +183,12 @@ def test_cache_file_rejects_version_1(tmp_path):
 def test_cache_file_rejects_bad_records(tmp_path, key, value, what):
     lex, emb = _setup([["a", "b"]])  # 4 words with the markers
     assert len(lex) == 4
+    # a table cannot hold these records, so they are written directly
     path = tmp_path / "bad.bin"
-    save_cache(str(path), SimilarityCache(emb, {(0, 2): 0.25, key: value}))
+    save_cache(str(path), SimilarityCache(emb, {(0, 2): 0.25, (0, 3): 0.5}))
+    head = path.read_bytes()[:5 + _HEADER.size]
+    rec = np.array(sorted([(0, 2, 0.25), (*key, value)]), dtype=_ENTRY)
+    path.write_bytes(head + rec.tobytes())
     _rejected(path, emb, what)
 
 
@@ -196,3 +206,124 @@ def test_cache_file_rejects_trailing_and_missing_bytes(tmp_path):
     bad.write_bytes(raw[:-1])
     _rejected(bad, emb, "truncated")
 
+
+
+def test_constructor_rejects_pairs_that_are_not_ordered_ids():
+    _, emb = _setup([["a", "b"]])  # 4 words with the markers
+    for key in [(1, 1), (2, 1), (0, 4), (-1, 2)]:
+        with pytest.raises(ValueError, match="not ids"):
+            SimilarityCache(emb, {key: 0.5})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_vector_rejected(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        SimilarityCache(np.array([[value, 1.0], [1.0, 0.0]]))
+
+
+# -- the numpy pair walk against the set-of-tuples walk it replaced ---------
+
+def _reference_pairs(sentences, lexicon, window):
+    """Every distinct unordered pair of unequal ids within `window`
+    positions of one sentence, sorted."""
+    pairs = set()
+    for sent in sentences:
+        ids = [lexicon.id_of(t) for t in add_boundary_markers(sent)]
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:i + 1 + window]:
+                if a != b:
+                    pairs.add((a, b) if a < b else (b, a))
+    return sorted(pairs)
+
+
+def _reference_file(pairs, emb):
+    """The version-2 cache file of `pairs`, written field by field."""
+    unit = emb / np.linalg.norm(emb, axis=1)[:, None]
+    digest = hashlib.blake2b(np.ascontiguousarray(unit), digest_size=32).digest()
+    rec = b"".join(struct.pack("<IIf", a, b, c) for (a, b), c in sorted(pairs.items()))
+    return b"WCSC" + bytes([2]) + struct.pack("<IQ32s", len(emb), len(pairs), digest) + rec
+
+
+def _random_corpus(rng, n_sent, vocab, max_len):
+    words = [f"w{i}" for i in range(vocab)]
+    return [[words[int(i)] for i in rng.integers(vocab, size=int(rng.integers(max_len + 1)))]
+            for _ in range(n_sent)]
+
+
+def _assert_matches_reference(sent, window, tmp_path):
+    lex = Lexicon.from_sentences(sent)
+    emb = np.random.default_rng(window).normal(size=(len(lex), 5))
+    cache = build_cache(sent, lex, emb, window=window)
+    pairs = cache.pairs()
+    assert list(pairs) == _reference_pairs(sent, lex, window)
+    bare = SimilarityCache(emb)
+    cached = np.array(list(pairs.values()), dtype=np.float64)
+    direct = np.array([bare.similarity(a, b) for a, b in pairs], dtype=np.float64)
+    assert cached.tobytes() == direct.tobytes()
+    path = tmp_path / f"sim{window}.bin"
+    save_cache(str(path), cache)
+    assert path.read_bytes() == _reference_file(pairs, emb)
+
+
+@pytest.mark.parametrize("window", range(1, 8))
+def test_build_matches_reference_walk_on_edge_sentences(window, tmp_path):
+    sent = [
+        [],                          # markers only
+        ["a"],                       # one token
+        ["a", "b"],                  # shorter than most windows
+        ["b", "b", "b", "b"],        # repeated ids: a == b is skipped
+        ["a", "a", "c", "a", "c", "c", "a", "b", "c", "d", "e", "f", "g", "a"],
+        [],
+        ["d"],
+    ]
+    _assert_matches_reference(sent, window, tmp_path)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+@pytest.mark.parametrize("window", range(1, 8))
+def test_build_matches_reference_walk_across_blocks(window, block, tmp_path, monkeypatch):
+    # the default block needs a corpus of more than 16k ids; small blocks
+    # cut inside and between short corpora's sentences
+    if block is not None:
+        monkeypatch.setattr(simcache, "_BLOCK", block)
+    rng = np.random.default_rng(window)
+    n_sent = 5000 if block is None else 60
+    sent = _random_corpus(rng, n_sent, 40, 9)
+    assert block is not None or sum(len(s) + 2 + window for s in sent) > 2 * simcache._BLOCK
+    _assert_matches_reference(sent, window, tmp_path)
+
+
+def test_build_matches_reference_walk_on_random_corpora(tmp_path):
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        window = int(rng.integers(1, 8))
+        sent = _random_corpus(rng, int(rng.integers(1, 300)), int(rng.integers(1, 60)), 15)
+        _assert_matches_reference(sent, window, tmp_path)
+
+
+def test_packed_keys_do_not_wrap_past_32_bits(tmp_path):
+    # V * V > 2**32: a product in 32 bits would alias pairs near V - 1
+    n = 70_000 - 2
+    words = [f"w{i}" for i in range(n)]
+    lex = Lexicon((BOS, EOS, *words), (1,) * len(words) + (1, 1))
+    v = len(lex)
+    assert v == 70_000 and v * v > 2**32
+    emb = np.random.default_rng(3).normal(size=(v, 2))
+    sent = [words[-4:], [words[0], words[-1], words[-2]], [words[-1], words[1]]]
+    cache = build_cache(sent, lex, emb)
+    pairs = cache.pairs()
+    assert list(pairs) == _reference_pairs(sent, lex, 4)
+    assert (v - 2, v - 1) in pairs
+    assert max(cache.table) == (v - 2) * v + (v - 1)
+
+    path = tmp_path / "big.bin"
+    save_cache(str(path), cache)
+    assert path.read_bytes() == _reference_file(pairs, emb)
+    back = load_cache(str(path), emb)
+    assert back.table == cache.table
+    assert back.pairs() == pairs
+
+    bare = SimilarityCache(emb)
+    for a, b in pairs:
+        assert back.similarity(b, a) == back.similarity(a, b) == bare.similarity(a, b)
+    assert back.misses == 0
