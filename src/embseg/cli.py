@@ -2,17 +2,18 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import shutil
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Iterator, TextIO
 
-from .corpus import read_segmented_corpus
+from .corpus import read_lines, read_segmented_corpus
 from .decoder import BeamParams, segment_sentence
-from .evaluate import score, word_improvement_report
+from .evaluate import AlignmentError, check_aligned, score, word_improvement_report
 from .lexicon import Lexicon
 from .simcache import SimilarityCache, build_cache, load_cache, save_cache
 from .trainer import TrainerConfig, load_embeddings, save_embeddings, train
@@ -44,8 +45,7 @@ def _add_segment(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--input", required=True, help="raw text, one line per sentence")
     p.add_argument("--dict", required=True)
     p.add_argument("--emb", required=True)
-    p.add_argument("--cache", help="similarity cache file to load")
-    p.add_argument("--no-cache", action="store_true", help="ignore --cache and compute cosines directly")
+    p.add_argument("--cache", help="similarity cache file to load; without it cosines are computed directly")
     p.add_argument("--baseline", help="baseline segmentation of the same lines (fallback tokens)")
     p.add_argument("--out", required=True)
     p.add_argument("--beam", type=int, default=10)
@@ -85,22 +85,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_lines(path: str) -> list[str]:
-    """Every line of a text file, newline stripped, blank lines preserved."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: invalid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def _read_token_lines(path: str) -> list[list[str]]:
-    return [line.split() for line in _read_lines(path)]
+    return [line.split() for line in read_lines(path)]
+
+
+def _read_aligned(path: str, gold_path: str, gold: list[list[str]]) -> list[list[str]]:
+    """The token lines of a system output, checked against the gold file."""
+    lines = _read_token_lines(path)
+    try:
+        check_aligned(gold, lines)
+    except AlignmentError as exc:
+        if exc.line is None:
+            raise ValueError(f"{path} has {len(lines)} lines, {gold_path} has {len(gold)}") from None
+        raise ValueError(f"{path}:{exc.line}: character streams differ from {gold_path}") from None
+    return lines
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -113,42 +111,38 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=seed,
     )
     t0 = time.perf_counter()
-    sentences = list(read_segmented_corpus(args.corpus))
-    if not sentences:
-        raise ValueError(f"{args.corpus}: no sentences")
-    lexicon = Lexicon.from_sentences(sentences)
+    cache_path = None if args.no_cache else args.cache
+    with ExitStack() as stack:
+        # every output is created before training and replaced only on success
+        dict_tmp, emb_tmp, cache_tmp, dump_tmp = (
+            path and stack.enter_context(_replaced_on_success(path))
+            for path in (args.dict, args.emb, cache_path, args.dump_samples)
+        )
+        dump = stack.enter_context(open(dump_tmp, "w", encoding="utf-8")) if dump_tmp else None
+        sentences = list(read_segmented_corpus(args.corpus))
+        if not sentences:
+            raise ValueError(f"{args.corpus}: no sentences")
+        lexicon = Lexicon.from_sentences(sentences)
 
-    n_samples = 0
-    sink = None
-    dump_fh = None
-    if args.dump_samples:
-        dump_fh = open(args.dump_samples, "w", encoding="utf-8")
+        n_samples = 0
 
         def sink(sample):  # noqa: ANN001 - trainer callback
             nonlocal n_samples
             n_samples += 1
-            dump_fh.write(
-                f"{lexicon.word_of(sample.target)}\t{lexicon.word_of(sample.other)}"
-                f"\t{sample.label}\t{sample.source}\t{sample.weight!r}\n"
-            )
-    else:
-        def sink(sample):  # noqa: ANN001
-            nonlocal n_samples
-            n_samples += 1
+            if dump is not None:
+                dump.write(
+                    f"{lexicon.word_of(sample.target)}\t{lexicon.word_of(sample.other)}"
+                    f"\t{sample.label}\t{sample.source}\t{sample.weight!r}\n"
+                )
 
-    try:
         emb = train(sentences, lexicon, config, sample_sink=sink)
-    finally:
-        if dump_fh is not None:
-            dump_fh.close()
-
-    lexicon.save(args.dict)
-    save_embeddings(args.emb, lexicon, emb)
-    cache_entries = None
-    if not args.no_cache:
-        cache = build_cache(sentences, lexicon, emb, window=args.window)
-        save_cache(args.cache, cache)
-        cache_entries = len(cache.table)
+        lexicon.save(dict_tmp)
+        save_embeddings(emb_tmp, lexicon, emb)
+        cache_entries = None
+        if cache_tmp:
+            cache = build_cache(sentences, lexicon, emb, window=args.window)
+            save_cache(cache_tmp, cache)
+            cache_entries = len(cache.table)
     summary = {
         "vocab_size": len(lexicon),
         "total_tokens": lexicon.total_tokens,
@@ -170,57 +164,65 @@ def _load_artifacts(args: argparse.Namespace) -> tuple[Lexicon, SimilarityCache]
             f"{args.emb}: embedding rows do not match {args.dict} "
             "(different vocabulary or order); re-run train"
         )
-    if args.cache and not args.no_cache:
+    if args.cache:
         return lexicon, load_cache(args.cache, emb)
     return lexicon, SimilarityCache(emb)
 
 
 @contextmanager
-def _replaced_on_success(path: str) -> Iterator[TextIO]:
-    """A new file beside `path`, moved onto it when the block completes and
-    removed when it fails, so `path` never holds a partial write.
+def _replaced_on_success(path: str) -> Iterator[str]:
+    """The path of a new file beside `path`, moved onto it when the block
+    completes and removed when it fails, so `path` never holds a partial
+    write.
 
-    The file is opened before the block runs, so an unwritable path fails
+    The file is created before the block runs, so an unwritable path fails
     first.  It gets the mode open(path, "w") would leave: that of the file
     it replaces, or the default for a new one.  An existing path that is
-    not a regular file (a directory fails, /dev/stdout works) is opened
-    directly.
+    not a regular file is written directly (/dev/stdout works), except a
+    directory, which fails.
     """
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        yield path
         return
     real = os.path.realpath(path)  # through a symlink, replace its target
     head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "w", encoding="utf-8")
+        open(tmp, "xb").close()  # exclusive: never truncates a file already there
     except OSError as exc:  # name the path asked for, not the temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
-        with fh:
-            if os.path.exists(real):
-                shutil.copymode(real, tmp)
-            yield fh
+        if os.path.exists(real):
+            shutil.copymode(real, tmp)
+        yield tmp
         os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+@contextmanager
+def _text_output(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces `path` only on success."""
+    with _replaced_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def cmd_segment(args: argparse.Namespace) -> int:
     lexicon, cache = _load_artifacts(args)
     params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len)
-    lines = _read_lines(args.input)
+    lines = list(read_lines(args.input))
     baselines: list[list[str] | None] = [None] * len(lines)
     if args.baseline:
         baselines = _read_token_lines(args.baseline)
         if len(baselines) != len(lines):
             raise ValueError(
-                f"--baseline has {len(baselines)} lines, --input has {len(lines)}"
+                f"{args.baseline} has {len(baselines)} lines, {args.input} has {len(lines)}"
             )
 
-    with _replaced_on_success(args.out) as fh:
+    with _text_output(args.out) as fh:
         for lineno, (line, base) in enumerate(zip(lines, baselines), start=1):
             try:
                 out = segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
@@ -234,7 +236,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     gold = _read_token_lines(args.gold)
-    pred = _read_token_lines(args.input)
+    pred = _read_aligned(args.input, args.gold, gold)
     report = score(gold, pred)
     print(f"{report.precision:.6f}\t{report.recall:.6f}\t{report.f_measure:.6f}")
     print(f"{report.n_gold}\t{report.n_pred}\t{report.n_correct}")
@@ -243,20 +245,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     gold = _read_token_lines(args.gold)
-    base = _read_token_lines(args.baseline)
-    new = _read_token_lines(args.input)
+    base = _read_aligned(args.baseline, args.gold, gold)
+    new = _read_aligned(args.input, args.gold, gold)
     rows = word_improvement_report(gold, base, new, min_count=args.min_count)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _text_output(args.out) if args.out else nullcontext(sys.stdout) as out:
         out.write("word\tgold_count\tprecision_baseline\tprecision_new\tdelta\n")
         for r in rows:
             out.write(
                 f"{r.word}\t{r.gold_count}\t{r.precision_baseline:.6f}"
                 f"\t{r.precision_new:.6f}\t{r.delta:.6f}\n"
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "split_fragments",
     "fragment_texts",
     "reassemble",
+    "read_lines",
     "read_segmented_corpus",
     "escape_token",
     "unescape_token",
@@ -116,21 +117,28 @@ def reassemble(fragments: list[list[str]], pieces: list[Piece]) -> str:
     return " ".join(tokens)
 
 
-def read_segmented_corpus(path: str) -> Iterator[list[str]]:
-    """Yield one token list per non-blank line of a UTF-8 corpus file.
+def read_lines(path: str) -> Iterator[str]:
+    """Yield each line of a UTF-8 text file without its "\n".
 
-    Tokens are separated by arbitrary whitespace.  Invalid UTF-8 raises a
-    ValueError naming the offending line.
+    Every input file is read here.  Only "\n" ends a line, so a "\r"
+    before it stays part of the line; blank lines are kept.  Invalid UTF-8
+    raises a ValueError that starts with `path:line:`.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.rstrip(b"\n").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: invalid UTF-8 on line {lineno}: {exc}") from None
-            tokens = line.split()
-            if tokens:
-                yield tokens
+                raise ValueError(f"{path}:{lineno}: invalid UTF-8: {exc}") from None
+            yield line
+
+
+def read_segmented_corpus(path: str) -> Iterator[list[str]]:
+    """Yield one token list per non-blank line, split at any whitespace."""
+    for line in read_lines(path):
+        tokens = line.split()
+        if tokens:
+            yield tokens
 
 
 def escape_token(token: str) -> str:

@@ -9,13 +9,22 @@ __all__ = [
     "EvalReport",
     "WordImprovementRow",
     "word_spans",
+    "check_aligned",
     "score",
     "word_improvement_report",
 ]
 
 
 class AlignmentError(ValueError):
-    """Gold and predicted corpora do not cover the same character stream."""
+    """Gold and predicted corpora do not cover the same character stream.
+
+    `line` is the first 1-based line whose characters differ, or None when
+    the line counts do.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -47,14 +56,17 @@ def word_spans(tokens: Sequence[str]) -> set[tuple[int, int]]:
     return spans
 
 
-def _check_aligned(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]], what: str) -> None:
+def check_aligned(
+    gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]], what: str = "predicted"
+) -> None:
+    """Raise AlignmentError unless both corpora tile the same lines."""
     if len(gold) != len(pred):
         raise AlignmentError(
             f"sentence count mismatch: {len(gold)} gold vs {len(pred)} {what}"
         )
     for lineno, (g, p) in enumerate(zip(gold, pred), start=1):
         if "".join(g) != "".join(p):
-            raise AlignmentError(f"line {lineno}: character streams differ ({what})")
+            raise AlignmentError(f"line {lineno}: character streams differ ({what})", lineno)
 
 
 def score(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]) -> EvalReport:
@@ -63,7 +75,7 @@ def score(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]) -> EvalR
     A predicted word is correct iff its exact character span appears in the
     gold segmentation of the same sentence.  F is 0 when P + R is 0.
     """
-    _check_aligned(gold, pred, "predicted")
+    check_aligned(gold, pred, "predicted")
     n_gold = n_pred = n_correct = 0
     for g, p in zip(gold, pred):
         gs = word_spans(g)
@@ -91,8 +103,8 @@ def word_improvement_report(
     span appears in the system's output.  Rows are sorted by delta
     descending, ties by word string.
     """
-    _check_aligned(gold, pred_baseline, "baseline")
-    _check_aligned(gold, pred_new, "new")
+    check_aligned(gold, pred_baseline, "baseline")
+    check_aligned(gold, pred_new, "new")
     stats: dict[str, list[int]] = {}
     for g, pb, pn in zip(gold, pred_baseline, pred_new):
         base_spans = word_spans(pb)

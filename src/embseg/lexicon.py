@@ -6,7 +6,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import MARKERS, add_boundary_markers
+from .corpus import MARKERS, add_boundary_markers, read_lines
 
 __all__ = ["Lexicon", "SubsampleTable"]
 
@@ -85,27 +85,25 @@ class Lexicon:
         below 1 raises a ValueError naming the file and line."""
         first_line: dict[str, int] = {}  # word -> line it was first listed on
         counts: list[int] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count'")
-                word = fields[0]
-                if word in first_line:
-                    raise ValueError(
-                        f"{path}:{lineno}: duplicate word {word!r} (first on line {first_line[word]})"
-                    )
-                first_line[word] = lineno
-                try:
-                    count = int(fields[1])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: count is not an integer") from None
-                if count < 1:
-                    raise ValueError(f"{path}:{lineno}: count must be >= 1")
-                counts.append(count)
+        for lineno, line in enumerate(read_lines(path), start=1):
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count'")
+            word = fields[0]
+            if word in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate word {word!r} (first on line {first_line[word]})"
+                )
+            first_line[word] = lineno
+            try:
+                count = int(fields[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: count is not an integer") from None
+            if count < 1:
+                raise ValueError(f"{path}:{lineno}: count must be >= 1")
+            counts.append(count)
         if not counts:
             raise ValueError(f"{path}: no entries")
         return cls(first_line.keys(), counts)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import add_boundary_markers
+from .corpus import add_boundary_markers, read_lines
 from .lexicon import Lexicon, SubsampleTable
 from .sampler import POSITIVE, TrainingSample, build_occurrence_batch
 
@@ -233,29 +233,29 @@ def save_embeddings(path: str, lexicon: Lexicon, emb: np.ndarray) -> None:
 def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     """Inverse of save_embeddings; validates the header against the body
     and rejects non-finite values."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+    lines = read_lines(path)
+    header = next(lines, "").split()
+    try:
+        V, d = map(int, header)
+    except ValueError:
+        V = d = 0
+    if V < 1 or d < 1:
+        raise ValueError(f"{path}:1: malformed header, expected 'V d' with V, d >= 1")
+    words: list[str] = []
+    emb = np.empty((V, d), dtype=np.float64)
+    row = 0
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split(" ")
+        if len(parts) != d + 1:
+            raise ValueError(f"{path}:{lineno}: expected a word and {d} floats")
+        if row >= V:
+            raise ValueError(f"{path}:{lineno}: more rows than the header announces")
+        words.append(parts[0])
         try:
-            V, d = map(int, header)
-        except ValueError:
-            V = d = 0
-        if V < 1 or d < 1:
-            raise ValueError(f"{path}:1: malformed header, expected 'V d' with V, d >= 1")
-        words: list[str] = []
-        emb = np.empty((V, d), dtype=np.float64)
-        row = 0
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != d + 1:
-                raise ValueError(f"{path}:{lineno}: expected a word and {d} floats")
-            if row >= V:
-                raise ValueError(f"{path}:{lineno}: more rows than the header announces")
-            words.append(parts[0])
-            try:
-                emb[row] = list(map(float, parts[1:]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            row += 1
+            emb[row] = list(map(float, parts[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        row += 1
     if row != V:
         raise ValueError(f"{path}: header announces {V} rows, found {row}")
     bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))

@@ -12,8 +12,9 @@ import pytest
 
 from embseg import cli
 from embseg.cli import main
+from embseg.lexicon import Lexicon
 from embseg.synth import corrupt, default_language, generate_corpus
-from embseg.trainer import TrainerConfig
+from embseg.trainer import TrainerConfig, load_embeddings
 
 
 def _run(argv):
@@ -141,7 +142,7 @@ def test_segment_without_cache_is_identical(trained):
         "--emb", str(workdir / "emb.txt"),
         "--baseline", str(workdir / "base.txt"),
     ]
-    rc, _, _ = _run(args + ["--no-cache", "--out", str(workdir / "nocache.txt")])
+    rc, _, _ = _run(args + ["--out", str(workdir / "nocache.txt")])
     assert rc == 0
     assert (workdir / "nocache.txt").read_bytes() == (workdir / "out.txt").read_bytes()
 
@@ -236,7 +237,6 @@ def test_segment_artifact_mismatch(workdir, trained, tmp_path):
         "--input", str(workdir / "raw.txt"),
         "--dict", str(workdir / "dict.tsv"),
         "--emb", str(tmp_path / "mini_emb.txt"),
-        "--no-cache",
         "--out", str(tmp_path / "never.txt"),
     ])
     assert rc == 1
@@ -340,7 +340,6 @@ def test_segment_reports_load_errors_with_file_and_line(trained, tmp_path):
         "--input", str(workdir / "raw.txt"),
         "--dict", str(workdir / "dict.tsv"),
         "--emb", str(emb),
-        "--no-cache",
         "--out", str(tmp_path / "never.txt"),
     ])
     assert rc == 1
@@ -476,7 +475,6 @@ def test_segment_names_the_embedding_line_with_a_non_finite_value(trained, tmp_p
         "--input", str(workdir / "raw.txt"),
         "--dict", str(workdir / "dict.tsv"),
         "--emb", str(emb),
-        "--no-cache",
         "--out", str(tmp_path / "never.txt"),
     ]
     if with_baseline:
@@ -485,3 +483,130 @@ def test_segment_names_the_embedding_line_with_a_non_finite_value(trained, tmp_p
     assert rc == 1
     assert err == f"error: {emb}:4: non-finite value\n"
     assert not (tmp_path / "never.txt").exists()
+
+
+def _with_bad_byte_on_line_2(src, dst):
+    lines = src.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    dst.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--corpus"),
+    ("segment", "--input"),
+    ("segment", "--baseline"),
+    ("segment", "--dict"),
+    ("segment", "--emb"),
+    ("eval", "--gold"),
+    ("eval", "--input"),
+])
+def test_invalid_utf8_names_file_and_line(trained, tmp_path, command, flag):
+    w, _ = trained
+    argv = {
+        "train": ["train", "--corpus", w / "base.txt", "--dict", tmp_path / "d.tsv",
+                  "--emb", tmp_path / "e.txt", "--no-cache"],
+        "segment": ["segment", "--input", w / "raw.txt", "--dict", w / "dict.tsv",
+                    "--emb", w / "emb.txt", "--baseline", w / "base.txt", "--out", tmp_path / "never.txt"],
+        "eval": ["eval", "--gold", w / "gold.txt", "--input", w / "base.txt"],
+    }[command]
+    i = argv.index(flag) + 1
+    bad = tmp_path / "bad"
+    _with_bad_byte_on_line_2(argv[i], bad)
+    argv[i] = bad
+    rc, _, err = _run([str(a) for a in argv])
+    assert rc == 1
+    assert err.startswith(f"error: {bad}:2: invalid UTF-8: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad"]
+
+
+def test_crlf_artifacts_load_like_lf(trained, tmp_path):
+    workdir, _ = trained
+    for name in ("dict.tsv", "emb.txt"):
+        (tmp_path / name).write_bytes((workdir / name).read_bytes().replace(b"\n", b"\r\n"))
+    lf = Lexicon.load(str(workdir / "dict.tsv"))
+    crlf = Lexicon.load(str(tmp_path / "dict.tsv"))
+    assert crlf.words == lf.words and crlf.counts.tolist() == lf.counts.tolist()
+    lf_words, lf_emb = load_embeddings(str(workdir / "emb.txt"))
+    crlf_words, crlf_emb = load_embeddings(str(tmp_path / "emb.txt"))
+    assert crlf_words == lf_words and np.array_equal(crlf_emb, lf_emb)
+
+
+def _train_argv(workdir, out):
+    return [
+        "train", "--corpus", str(workdir / "base.txt"),
+        "--dict", str(out / "dict.tsv"), "--emb", str(out / "emb.txt"),
+        "--cache", str(out / "sim.bin"), "--dump-samples", str(out / "samples.tsv"),
+        "--dim", "8", "--seed", "1",
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--dict", "--emb", "--cache", "--dump-samples"])
+def test_unwritable_train_output_fails_before_training(workdir, tmp_path, monkeypatch, flag):
+    def train(*args, **kwargs):
+        raise AssertionError("trained before every output was checked")
+
+    monkeypatch.setattr(cli, "train", train)
+    argv = _train_argv(workdir, tmp_path)
+    bad = tmp_path / "missing" / "out"
+    argv[argv.index(flag) + 1] = str(bad)
+    rc, out, err = _run(argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["train", "build_cache"])
+def test_failed_train_leaves_no_new_artifact(workdir, tmp_path, monkeypatch, stage):
+    def fail(*args, **kwargs):
+        raise ValueError(f"{stage} failed")
+
+    monkeypatch.setattr(cli, stage, fail)
+    (tmp_path / "emb.txt").write_text("old\n", encoding="utf-8")
+    rc, out, err = _run(_train_argv(workdir, tmp_path))
+    assert (rc, out, err) == (1, "", f"error: {stage} failed\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+    assert (tmp_path / "emb.txt").read_text(encoding="utf-8") == "old\n"
+
+
+def test_failed_report_leaves_out_untouched(trained, tmp_path, monkeypatch):
+    workdir, _ = trained
+    real = cli.word_improvement_report
+
+    def rows(*args, **kwargs):
+        yield from real(*args, **kwargs)[:1]
+        raise ValueError("report failed")
+
+    out = tmp_path / "report.tsv"
+    out.write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "word_improvement_report", rows)
+    rc, _, err = _run([
+        "report", "--gold", str(workdir / "gold.txt"), "--baseline", str(workdir / "base.txt"),
+        "--input", str(workdir / "gold.txt"), "--min-count", "1", "--out", str(out),
+    ])
+    assert (rc, err) == (1, "error: report failed\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.tsv"]
+    assert out.read_text(encoding="utf-8") == "old\n"
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--input"), ("report", "--baseline"),
+                                          ("report", "--input")])
+@pytest.mark.parametrize("fault", ["count", "characters"])
+def test_misaligned_file_is_named_with_its_line(workdir, tmp_path, command, flag, fault):
+    gold = workdir / "gold.txt"
+    lines = gold.read_text(encoding="utf-8").splitlines()
+    if fault == "count":
+        lines.pop()
+    else:
+        lines[1] = "X" + lines[1]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = [command, "--gold", str(gold), "--input", str(gold)]
+    if command == "report":
+        argv += ["--baseline", str(gold)]
+    argv[argv.index(flag) + 1] = str(bad)
+    rc, out, err = _run(argv)
+    assert (rc, out) == (1, "")
+    if fault == "count":
+        assert err == f"error: {bad} has 299 lines, {gold} has 300\n"
+    else:
+        assert err == f"error: {bad}:2: character streams differ from {gold}\n"

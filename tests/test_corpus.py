@@ -14,6 +14,7 @@ from embseg.corpus import (
     escape_token,
     fragment_texts,
     is_word_char,
+    read_lines,
     read_segmented_corpus,
     reassemble,
     split_fragments,
@@ -148,5 +149,18 @@ def test_read_segmented_corpus(tmp_path):
 def test_read_segmented_corpus_bad_utf8(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ok line\n\xff\xfe\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=r"bad\.txt:2: invalid UTF-8"):
         list(read_segmented_corpus(str(path)))
+
+
+@pytest.mark.parametrize("data,lines", [
+    (b"", []),
+    (b"\n", [""]),
+    (b"a\n\nb", ["a", "", "b"]),
+    (b"a \t\r\nb\rc\n", ["a \t\r", "b\rc"]),  # only "\n" ends a line
+    ("天\u2028地\x85\n".encode("utf-8"), ["天\u2028地\x85"]),
+])
+def test_read_lines_splits_only_at_newline(tmp_path, data, lines):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    assert list(read_lines(str(path))) == lines
