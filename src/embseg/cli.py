@@ -113,9 +113,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cache_path = None if args.no_cache else args.cache
     with ExitStack() as stack:
-        # every output is created before training and replaced only on success
+        # every output given is created before training and replaced only on success
         dict_tmp, emb_tmp, cache_tmp, dump_tmp = (
-            path and stack.enter_context(_replaced_on_success(path))
+            None if path is None else stack.enter_context(_replaced_on_success(path))
             for path in (args.dict, args.emb, cache_path, args.dump_samples)
         )
         dump = stack.enter_context(open(dump_tmp, "w", encoding="utf-8")) if dump_tmp else None
@@ -179,8 +179,10 @@ def _replaced_on_success(path: str) -> Iterator[str]:
     first.  It gets the mode open(path, "w") would leave: that of the file
     it replaces, or the default for a new one.  An existing path that is
     not a regular file is written directly (/dev/stdout works), except a
-    directory, which fails.
+    directory, which fails, and so does an empty path.
     """
+    if not path:
+        raise ValueError("empty output path")
     if os.path.exists(path) and not os.path.isfile(path):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -211,18 +213,18 @@ def _text_output(path: str) -> Iterator[TextIO]:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    lexicon, cache = _load_artifacts(args)
-    params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len)
-    lines = list(read_lines(args.input))
-    baselines: list[list[str] | None] = [None] * len(lines)
-    if args.baseline:
-        baselines = _read_token_lines(args.baseline)
-        if len(baselines) != len(lines):
-            raise ValueError(
-                f"{args.baseline} has {len(baselines)} lines, {args.input} has {len(lines)}"
-            )
-
+    # the output is created before any input is read, so a bad --out fails first
     with _text_output(args.out) as fh:
+        lexicon, cache = _load_artifacts(args)
+        params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len)
+        lines = list(read_lines(args.input))
+        baselines: list[list[str] | None] = [None] * len(lines)
+        if args.baseline:
+            baselines = _read_token_lines(args.baseline)
+            if len(baselines) != len(lines):
+                raise ValueError(
+                    f"{args.baseline} has {len(baselines)} lines, {args.input} has {len(lines)}"
+                )
         for lineno, (line, base) in enumerate(zip(lines, baselines), start=1):
             try:
                 out = segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
@@ -244,11 +246,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    gold = _read_token_lines(args.gold)
-    base = _read_aligned(args.baseline, args.gold, gold)
-    new = _read_aligned(args.input, args.gold, gold)
-    rows = word_improvement_report(gold, base, new, min_count=args.min_count)
-    with _text_output(args.out) if args.out else nullcontext(sys.stdout) as out:
+    with _text_output(args.out) if args.out is not None else nullcontext(sys.stdout) as out:
+        gold = _read_token_lines(args.gold)
+        base = _read_aligned(args.baseline, args.gold, gold)
+        new = _read_aligned(args.input, args.gold, gold)
+        rows = word_improvement_report(gold, base, new, min_count=args.min_count)
         out.write("word\tgold_count\tprecision_baseline\tprecision_new\tdelta\n")
         for r in rows:
             out.write(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -92,16 +92,15 @@ def word_logp(word: int, recent: Sequence[int], cache: SimilarityCache, window: 
     With no predecessors (the begin marker itself) the contribution is 0.
     """
     preds = recent[-window:]
-    if not preds:
-        return 0.0
-    return sum(map(cache.similarity, repeat(word), preds)) / len(preds)
+    return cache.mean_similarity(word, preds) if preds else 0.0
 
 
 def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int) -> float:
     """Reference scorer: evaluate a full segmentation from scratch.
 
     Used to verify that the incremental score kept by the beam matches a
-    batch recomputation.
+    batch recomputation; it sums plain similarity calls, so it does not
+    share the beam's mean_similarity.
     """
     if len(seg) < 2:
         return 0.0
@@ -114,15 +113,17 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
 
 class _ScoreMemo(dict):
     """word_logp of each (word, recent) key met in one search, computed on
-    first use; the same call gives the same float every time."""
+    first use; the same call gives the same float every time.  A beam's
+    recent ids always hold at least the begin marker, so the window is
+    never empty."""
 
     def __init__(self, cache: SimilarityCache, window: int):
         super().__init__()
-        self.cache = cache
+        self.score = cache.mean_similarity
         self.window = window
 
     def __missing__(self, key: tuple[int, tuple[int, ...]]) -> float:
-        logp = self[key] = word_logp(key[0], key[1], self.cache, self.window)
+        logp = self[key] = self.score(key[0], key[1][-self.window:])
         return logp
 
 

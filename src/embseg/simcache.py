@@ -5,7 +5,9 @@ of those pairs co-occur somewhere in the training corpus, so computing
 them once up front removes most vector math from the decoder's inner
 loop.  Values are rounded to single precision on both the hit and the
 miss path, which keeps decoding bit-identical whether or not a table is
-loaded: the cache is a pure accelerator.
+loaded: the cache is a pure accelerator.  The decoder scores a word with
+one `SimilarityCache.mean_similarity` call over its predecessors, which
+counts and rounds each pair exactly as `similarity` does.
 
 In memory the table is a dict keyed by the packed int a * V + b of the
 unordered id pair a < b, V the vocabulary size; `SimilarityCache.pairs`
@@ -16,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from typing import Iterable, Mapping
+from array import array
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +49,9 @@ class SimilarityCache:
     `pairs` maps id pairs (a, b), a < b, to cosines; `table` holds them
     under the packed key a * V + b.  hits and misses count every query, so
     they always sum to the total number of lookups.
+
+    Not for concurrent use from threads: the counters and the rounding
+    cell are shared, unlocked state.
     """
 
     def __init__(self, embeddings: np.ndarray, pairs: Mapping[tuple[int, int], float] | None = None):
@@ -66,6 +72,10 @@ class SimilarityCache:
             self.table[a * v + b] = val
         self.hits = 0
         self.misses = 0
+        # a computed cosine is rounded to single precision by a store into
+        # and a load from this cell: the C double -> float cast np.float32
+        # makes, without building a numpy scalar
+        self._f32 = array("f", (0.0,))
 
     @property
     def vocab_size(self) -> int:
@@ -87,7 +97,35 @@ class SimilarityCache:
             self.hits += 1
             return val
         self.misses += 1
-        return float(np.float32(self._rows[a].dot(self._rows[b])))
+        cell = self._f32
+        cell[0] = self._rows[a].dot(self._rows[b])
+        return cell[0]
+
+    def mean_similarity(self, a: int, others: Sequence[int]) -> float:
+        """Mean of similarity(a, b) over the non-empty `others`, summed left
+        to right from 0.0, with the same values and the same hit and miss
+        counts as one similarity call per element; in one call, because the
+        decoder scores every candidate word this way."""
+        table = self.table
+        v = self._vocab
+        rows = self._rows
+        cell = self._f32
+        total = 0.0
+        misses = 0
+        for b in others:
+            if a == b:
+                total += 1.0
+                continue
+            val = table.get(a * v + b if a < b else b * v + a)
+            if val is None:
+                misses += 1
+                cell[0] = rows[a].dot(rows[b])
+                val = cell[0]
+            total += val
+        n = len(others)
+        self.hits += n - misses
+        self.misses += misses
+        return total / n
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

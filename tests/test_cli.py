@@ -610,3 +610,43 @@ def test_misaligned_file_is_named_with_its_line(workdir, tmp_path, command, flag
         assert err == f"error: {bad} has 299 lines, {gold} has 300\n"
     else:
         assert err == f"error: {bad}:2: character streams differ from {gold}\n"
+
+
+def _refuse(what):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{what} before the empty output path was rejected")
+    return call
+
+
+@pytest.mark.parametrize("flag", ["--dict", "--emb", "--cache", "--dump-samples"])
+def test_empty_train_output_path_fails_before_the_corpus_is_read(workdir, tmp_path, monkeypatch, flag):
+    monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))
+    monkeypatch.setattr(cli, "train", _refuse("trained"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)  # "" resolves to the working directory: nothing may appear beside it
+    argv = _train_argv(workdir, cwd)
+    argv[argv.index(flag) + 1] = ""
+    rc, out, err = _run(argv)
+    assert (rc, out) == (1, "")
+    want = "pass --cache PATH or --no-cache" if flag == "--cache" else "empty output path"
+    assert err.startswith("error: ") and want in err
+    assert list(tmp_path.rglob("*")) == [cwd]
+
+
+@pytest.mark.parametrize("command", ["segment", "report"])
+def test_empty_out_path_fails_before_any_input_is_read(trained, tmp_path, monkeypatch, command):
+    workdir, _ = trained
+    for name in ("read_lines", "_load_artifacts", "segment_sentence", "word_improvement_report"):
+        monkeypatch.setattr(cli, name, _refuse(f"called {name}"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if command == "segment":
+        argv = _segment_argv(workdir, workdir / "raw.txt", workdir / "base.txt", "")
+    else:
+        argv = ["report", "--gold", str(workdir / "gold.txt"), "--baseline", str(workdir / "base.txt"),
+                "--input", str(workdir / "gold.txt"), "--out", ""]
+    rc, out, err = _run(argv)
+    assert (rc, out, err) == (1, "", "error: empty output path\n")
+    assert list(tmp_path.rglob("*")) == [cwd]

@@ -53,6 +53,29 @@ def test_word_logp_window_and_empty():
     assert word_logp(w, ids, cache, 10) == pytest.approx((9.9 + 0.1 + 0.2 + 0.3 + 0.4) / 5)
 
 
+def _ref_word_logp(word, recent, cache, window):
+    """Reference word score: plain similarity calls summed in order, so the
+    reference beams below do not share the decoder's mean_similarity."""
+    preds = recent[-window:]
+    if not preds:
+        return 0.0
+    total = 0.0
+    for p in preds:
+        total += cache.similarity(word, p)
+    return total / len(preds)
+
+
+def test_word_logp_equals_reference_and_counts_every_pair():
+    lex = _make_lexicon(["a", "b", "c"])
+    emb = init_embeddings(len(lex), 6, np.random.default_rng(4))
+    a, b, c = (lex.id_of(x) for x in "abc")
+    recent = (lex.id_of(BOS), a, c, a, b)
+    fused, plain = SimilarityCache(emb, {(a, b): 0.1}), SimilarityCache(emb, {(a, b): 0.1})
+    for window in (1, 3, 4, 9):
+        assert word_logp(a, recent, fused, window) == _ref_word_logp(a, recent, plain, window)
+    assert (fused.hits, fused.misses) == (plain.hits, plain.misses) == (9, 4)
+
+
 class _Open(NamedTuple):
     """A reference beam entry: a hypothesis with its open character buffer."""
 
@@ -94,7 +117,7 @@ def _extend(h, ch, lexicon, max_word_len, cache, window):
         wid = lexicon.id_of(h.buf)
         seg = h.seg + (wid,)
         count = h.word_count + 1
-        total = h.sum_logp + word_logp(wid, h.recent, cache, window)
+        total = h.sum_logp + _ref_word_logp(wid, h.recent, cache, window)
         out.append(_Open(
             seg, ch, count, total, (h.recent + (wid,))[-window:], h.lens + (len(h.buf),),
             _flushed_rank(total, count, rank[2] + (-len(h.buf),), seg),
@@ -116,9 +139,9 @@ def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
         if h.buf not in lex:
             continue
         wid = lex.id_of(h.buf)
-        logp_w = word_logp(wid, h.recent, cache, window)
+        logp_w = _ref_word_logp(wid, h.recent, cache, window)
         recent = (h.recent + (wid,))[-window:]
-        logp_e = word_logp(eos, recent, cache, window)
+        logp_e = _ref_word_logp(eos, recent, cache, window)
         seg = h.seg + (wid, eos)
         count = h.word_count + 2
         total = h.sum_logp + logp_w + logp_e

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embseg import simcache
 from embseg.corpus import BOS, EOS, add_boundary_markers
@@ -87,6 +88,59 @@ def test_similarity_identity_symmetry_and_counters():
     assert bare.misses == 1
     assert bare.hit_rate() == 0.0
     assert SimilarityCache(emb).hit_rate() == 0.0  # no lookups yet
+
+
+@st.composite
+def _scoring_cases(draw):
+    """Embeddings, a table holding some pairs (some at their float32 cosine,
+    some at arbitrary plain floats), a word id and its predecessors."""
+    v = draw(st.integers(2, 8))
+    emb = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(v, draw(st.integers(2, 16))))
+    exact = SimilarityCache(emb)
+    pairs = {}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, v - 2), st.integers(1, v - 1)), max_size=12)):
+        if a < b:
+            plain = st.floats(-2.0, 2.0, allow_nan=False)
+            pairs[a, b] = draw(plain) if draw(st.booleans()) else exact.similarity(a, b)
+    a = draw(st.integers(0, v - 1))
+    others = draw(st.lists(st.just(a) | st.integers(0, v - 1), min_size=1, max_size=6))
+    return emb, pairs, a, others
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scoring_cases())
+def test_mean_similarity_equals_in_order_similarity_sum(case):
+    emb, pairs, a, others = case
+    fused, plain = SimilarityCache(emb, pairs), SimilarityCache(emb, pairs)
+    total = 0.0
+    for b in others:
+        total += plain.similarity(a, b)
+    assert repr(fused.mean_similarity(a, others)) == repr(total / len(others))
+    assert (fused.hits, fused.misses) == (plain.hits, plain.misses)
+    assert fused.hits + fused.misses == len(others)
+
+
+def _through_cell(cell, xs):
+    out = []
+    for x in xs:
+        cell[0] = x
+        out.append(cell[0])
+    return out
+
+
+def test_rounding_cell_matches_numpy_float32():
+    cell = SimilarityCache(np.eye(2))._f32
+    rng = np.random.default_rng(0)
+    # exact midpoints between adjacent float32 values are float64 values
+    low = rng.uniform(-1, 1, 10**4).astype(np.float32)
+    high = np.nextafter(low, np.float32(np.inf))
+    mids = (low.astype(np.float64) + high) / 2
+    assert ((mids != low) & (mids != high)).all()
+    for xs in (rng.uniform(-1, 1, 10**5).tolist(), mids.tolist(), [0.0, -0.0, 1.0, -1.0]):
+        assert [repr(x) for x in _through_cell(cell, xs)] == [repr(float(np.float32(x))) for x in xs]
+    # ties go to the neighbour whose last significand bit is 0
+    tied = np.array(_through_cell(cell, mids.tolist()), dtype=np.float32)
+    assert not (tied.view(np.uint32) & 1).any()
 
 
 def test_zero_vector_rejected():
