@@ -1,10 +1,12 @@
 """Precomputing the similarity cache.
 
-The decoder only ever compares words that co-occur within a window, so
-those cosines can be computed once, stored in a compact binary file, and
-looked up during decoding.  Lookups outside the table fall through to a
-direct computation that rounds identically, keeping cached and uncached
-decoding bit-for-bit interchangeable.
+The cosines of word pairs that co-occur within a window in training are
+computed once, stored in a compact binary file, and looked up during
+decoding.  The decoder also compares lattice alternatives that never
+co-occurred; those lookups fall through to a direct computation that
+rounds identically, keeping cached and uncached decoding bit-for-bit
+interchangeable.  The table saves time only where the decoder's pairs
+co-occur in training.
 """
 import os
 import tempfile

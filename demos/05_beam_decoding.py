@@ -35,7 +35,7 @@ def main() -> None:
     print("after growth:", segment_sentence("一二三四五六", lex6, cache6, BeamParams()))
 
     # nothing in the dictionary covers this line: baseline tokens survive
-    out = segment_sentence("平安无事", lex6, cache6, BeamParams(retry_cap=1),
+    out = segment_sentence("平安无事", lex6, cache6, BeamParams(),
                            baseline_tokens=["平安", "无事"])
     print("fallback:    ", out)
 

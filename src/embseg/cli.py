@@ -11,7 +11,7 @@ import time
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Iterator, TextIO
 
-from .corpus import read_lines, read_segmented_corpus
+from .corpus import BOS, EOS, read_lines, read_segmented_corpus
 from .decoder import BeamParams, segment_sentence
 from .evaluate import AlignmentError, check_aligned, score, word_improvement_report
 from .lexicon import Lexicon
@@ -158,6 +158,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_artifacts(args: argparse.Namespace) -> tuple[Lexicon, SimilarityCache]:
     lexicon = Lexicon.load(args.dict)
+    for marker in (BOS, EOS):
+        if marker not in lexicon:
+            raise ValueError(f"{args.dict}: no {marker} entry; re-run train")
     words, emb = load_embeddings(args.emb)
     if list(lexicon.words) != words:
         raise ValueError(
@@ -213,10 +216,10 @@ def _text_output(path: str) -> Iterator[TextIO]:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len, window=args.window)
     # the output is created before any input is read, so a bad --out fails first
     with _text_output(args.out) as fh:
         lexicon, cache = _load_artifacts(args)
-        params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len)
         lines = list(read_lines(args.input))
         baselines: list[list[str] | None] = [None] * len(lines)
         if args.baseline:
@@ -227,7 +230,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 )
         for lineno, (line, base) in enumerate(zip(lines, baselines), start=1):
             try:
-                out = segment_sentence(line, lexicon, cache, params, window=args.window, baseline_tokens=base)
+                out = segment_sentence(line, lexicon, cache, params, baseline_tokens=base)
             except ValueError as exc:
                 if base is None:
                     raise

@@ -15,14 +15,15 @@ no text.
 
 When the whole beam dies the search restarts with a larger beam and
 word-length bound, so every input eventually gets some segmentation (its
-baseline tokens, or single characters, in the worst case).  The growth
-schedule is fixed by BeamParams; after the first failure one pass over
-the fragment's dictionary lattice finds the smallest word-length bound
-at which any tiling exists.  Rounds below that bound cannot succeed, so
-they are counted and advance the schedule without running the search,
-and a fragment with no tiling at all gives up at once.  Every round that
-is run runs at the same beam size and bound as it would if none were
-skipped, so the output is the same.
+baseline tokens, or single characters, in the worst case).  Each round
+adds _BEAM_STEP beam slots and _LEN_STEP to the bound, and the decoder
+gives up after 4 failed rounds whose bound covers the whole fragment.
+After the first failure one pass over the fragment's dictionary lattice
+finds the smallest word-length bound at which any tiling exists.  Rounds
+below that bound cannot succeed, so they advance the schedule without
+running the search, and a fragment with no tiling at all gives up at
+once.  Every round that is run runs at the same beam size and bound as
+it would if none were skipped, so the output is the same.
 """
 from __future__ import annotations
 
@@ -48,24 +49,23 @@ __all__ = [
 # scores closer than 1e-9 are ties and fall through to the structural keys
 _SCORE_QUANTUM = 1e9
 
+# each growth round after a dead beam widens the beam and the word-length bound by these
+_BEAM_STEP = 10
+_LEN_STEP = 1
+
 
 @dataclass
 class BeamParams:
-    """Decoder knobs, including the growth schedule for dead beams."""
+    """The `segment` decoding flags: --beam, --max-word-len and --window."""
 
     beam_size: int = 10
     max_word_len: int = 5
-    beam_step: int = 10
-    len_step: int = 1
-    retry_cap: int | None = None  # None: grow until max_word_len covers the fragment, then 3 more rounds
+    window: int = 4  # predecessors each word is scored against
 
     def __post_init__(self) -> None:
-        if self.beam_size < 1 or self.max_word_len < 1:
-            raise ValueError("beam_size and max_word_len must be >= 1")
-        if self.beam_step < 1 or self.len_step < 1:
-            raise ValueError("beam_step and len_step must be >= 1")
-        if self.retry_cap is not None and self.retry_cap < 0:
-            raise ValueError("retry_cap must be >= 0")
+        for name in ("beam_size", "max_word_len", "window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class Hypothesis(NamedTuple):
@@ -114,16 +114,15 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
 class _ScoreMemo(dict):
     """word_logp of each (word, recent) key met in one search, computed on
     first use; the same call gives the same float every time.  A beam's
-    recent ids always hold at least the begin marker, so the window is
-    never empty."""
+    recent ids are already cut to the window and always hold at least the
+    begin marker, so the key is scored as it stands."""
 
-    def __init__(self, cache: SimilarityCache, window: int):
+    def __init__(self, cache: SimilarityCache):
         super().__init__()
         self.score = cache.mean_similarity
-        self.window = window
 
     def __missing__(self, key: tuple[int, tuple[int, ...]]) -> float:
-        logp = self[key] = self.score(key[0], key[1][-self.window:])
+        logp = self[key] = self.score(*key)
         return logp
 
 
@@ -170,11 +169,13 @@ def beam_search(
     """
     if not fragment:
         raise ValueError("cannot decode an empty fragment")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     bos = lexicon.id_of(BOS)
     eos = lexicon.id_of(EOS)
     n = len(fragment)
     ends = _word_ids(fragment, lexicon, min(lexicon.longest, max_word_len))
-    memo = _ScoreMemo(cache, window)
+    memo = _ScoreMemo(cache)
     beam = [((0, 1, (), (bos,)), 0, 0.0, (bos,))]
     for p in range(n):
         flushable = ends[p]
@@ -249,37 +250,31 @@ def _decode_with_growth(
     lexicon: Lexicon,
     cache: SimilarityCache,
     params: BeamParams,
-    window: int,
 ) -> list[str] | None:
     k = params.beam_size
     m = params.max_word_len
-    rounds = 0
     covered_failures = 0
     need = 0  # beam_search fails below this word-length bound; found on the first failure
     while True:
         if m >= need:
             res = beam_search(
                 fragment, lexicon, cache,
-                beam_size=k, max_word_len=m, window=window,
+                beam_size=k, max_word_len=m, window=params.window,
             )
             if res is not None:
                 return res[0]
-            if rounds == 0:
+            if need == 0:
                 need = _min_tiling_len(fragment, lexicon)
                 if need is None:
                     return None  # every round of the schedule would fail
-        rounds += 1
-        if params.retry_cap is not None:
-            if rounds > params.retry_cap:
-                return None
-        elif m >= len(fragment):
+        if m >= len(fragment):
             # the length bound already covers the whole fragment; allow a
             # few beam-only growth rounds before giving up
             covered_failures += 1
             if covered_failures >= 4:
                 return None
-        k += params.beam_step
-        m += params.len_step
+        k += _BEAM_STEP
+        m += _LEN_STEP
 
 
 def _carve_baseline(tokens: Sequence[str], frags: Sequence[str]) -> list[list[str]]:
@@ -312,7 +307,6 @@ def segment_sentence(
     cache: SimilarityCache,
     params: BeamParams | None = None,
     *,
-    window: int = 4,
     baseline_tokens: Sequence[str] | None = None,
     counters: dict | None = None,
 ) -> str:
@@ -333,7 +327,7 @@ def segment_sentence(
         counters.setdefault("fallbacks", 0)
     segmented: list[list[str]] = []
     for idx, frag in enumerate(frags):
-        words = _decode_with_growth(frag, lexicon, cache, params, window)
+        words = _decode_with_growth(frag, lexicon, cache, params)
         if words is None:
             if counters is not None:
                 counters["fallbacks"] += 1

@@ -1,12 +1,15 @@
 """Precomputed cosine lookups for co-occurring word pairs.
 
-Decoding keeps asking for the cosine of nearby word pairs, and nearly all
-of those pairs co-occur somewhere in the training corpus, so computing
-them once up front removes most vector math from the decoder's inner
-loop.  Values are rounded to single precision on both the hit and the
-miss path, which keeps decoding bit-identical whether or not a table is
-loaded: the cache is a pure accelerator.  The decoder scores a word with
-one `SimilarityCache.mean_similarity` call over its predecessors, which
+The table holds the cosine of every pair of words that co-occur within
+a window in the training corpus.  The decoder also asks about the
+lattice alternatives it weighs, word pairs that may never co-occur in
+training; those miss and are computed directly.  The table therefore
+pays only where the decoder's pairs co-occur: on a small vocabulary
+nearly every lookup hits, on a large one most may miss.  Values are
+rounded to single precision on both the hit and the miss path, which
+keeps decoding bit-identical whether or not a table is loaded: the cache
+is a pure accelerator.  The decoder scores a word with one
+`SimilarityCache.mean_similarity` call over its predecessors, which
 counts and rounds each pair exactly as `similarity` does.
 
 In memory the table is a dict keyed by the packed int a * V + b of the
@@ -219,8 +222,9 @@ def save_cache(path: str, cache: SimilarityCache) -> None:
 def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
     """Read a cache file back.  It must have been built from `embeddings`:
     the vocabulary size and the digest of the unit-row table must match.
-    Every record must hold ids a < b < V and a finite cosine, and no bytes
-    may follow the last record."""
+    Every record must hold ids a < b < V and a finite cosine, the records
+    must be in strictly ascending (a, b) order, and no bytes may follow the
+    last record."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -246,17 +250,18 @@ def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
         if body > count * _ENTRY.itemsize:
             raise ValueError(f"{path}: trailing bytes after {count} records")
         rec = np.fromfile(fh, dtype=_ENTRY, count=count)
+    keys = rec["a"].astype(np.int64) * vocab_size + rec["b"]
     for bad, what in (
         (rec["a"] >= rec["b"], "ids not in (smaller, larger) order"),
         (rec["b"] >= vocab_size, f"word id not below vocabulary size {vocab_size}"),
         (~np.isfinite(rec["cos"]), "non-finite cosine"),
+        # checked last: only ids validated above pack to one key per pair
+        (np.concatenate(([False], np.diff(keys) <= 0)), "duplicate or out-of-order pair"),
     ):
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             a, b, c = rec[i].tolist()
             raise ValueError(f"{path}: record {i} ({a}, {b}, {c!r}): {what}")
-    # validated above, so b < V and no key aliases another pair's
-    keys = rec["a"].astype(np.int64) * vocab_size + rec["b"]
     table = dict(zip(keys.tolist(), rec["cos"].tolist()))
     del rec, keys
     # the unit rows come after the table is built and the records freed,

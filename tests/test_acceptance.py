@@ -280,7 +280,7 @@ def test_criterion_07_dynamic_growth_and_fallback():
     assert counters["fallbacks"] == 0
 
     out = segment_sentence(
-        "xyz", lex, cache, BeamParams(retry_cap=2), baseline_tokens=["xy", "z"]
+        "xyz", lex, cache, BeamParams(), baseline_tokens=["xy", "z"]
     )
     assert out == "xy z"
     print("criterion 7: one growth round decodes the 6-character word; fallback verbatim")

@@ -5,16 +5,21 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from embseg import cli
 from embseg.cli import main
+from embseg.corpus import BOS
+from embseg.decoder import BeamParams
 from embseg.lexicon import Lexicon
 from embseg.synth import corrupt, default_language, generate_corpus
-from embseg.trainer import TrainerConfig, load_embeddings
+from embseg.trainer import TrainerConfig, load_embeddings, save_embeddings
 
 
 def _run(argv):
@@ -614,7 +619,7 @@ def test_misaligned_file_is_named_with_its_line(workdir, tmp_path, command, flag
 
 def _refuse(what):
     def call(*args, **kwargs):
-        raise AssertionError(f"{what} before the empty output path was rejected")
+        raise AssertionError(f"{what} before the bad argument was rejected")
     return call
 
 
@@ -650,3 +655,70 @@ def test_empty_out_path_fails_before_any_input_is_read(trained, tmp_path, monkey
     rc, out, err = _run(argv)
     assert (rc, out, err) == (1, "", "error: empty output path\n")
     assert list(tmp_path.rglob("*")) == [cwd]
+
+
+def test_every_beam_params_field_is_a_segment_flag(trained, tmp_path, monkeypatch):
+    workdir, _ = trained
+    seen = []
+
+    def capture(line, lexicon, cache, params, **kwargs):
+        seen.append(params)
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "segment_sentence", capture)
+    argv = _segment_argv(workdir, workdir / "raw.txt", workdir / "base.txt", tmp_path / "out.txt")
+    rc, _, _ = _run([*argv, "--beam", "3", "--max-word-len", "4", "--window", "2"])
+    assert rc == 1
+    want = BeamParams(beam_size=3, max_word_len=4, window=2)
+    assert seen == [want]
+    default = BeamParams()
+    # a field no flag sets would keep its default here
+    assert all(getattr(want, f.name) != getattr(default, f.name) for f in dataclasses.fields(BeamParams))
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--window", "0", "window"),
+        ("--window", "-1", "window"),
+        ("--beam", "0", "beam_size"),
+        ("--max-word-len", "0", "max_word_len"),
+    ],
+)
+def test_bad_decode_option_fails_before_any_input_is_read(trained, tmp_path, monkeypatch, flag, value, field):
+    workdir, _ = trained
+    for name in ("read_lines", "_load_artifacts", "segment_sentence"):
+        monkeypatch.setattr(cli, name, _refuse(f"called {name}"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = _segment_argv(workdir, workdir / "raw.txt", workdir / "base.txt", out_dir / "seg.txt")
+    rc, out, err = _run([*argv, flag, value])
+    assert (rc, out, err) == (1, "", f"error: {field} must be >= 1, got {value}\n")
+    assert list(out_dir.iterdir()) == []  # neither --out nor its temporary file
+
+
+def test_python_dash_m_reports_a_bad_window(trained, tmp_path):
+    workdir, _ = trained
+    src = Path(cli.__file__).resolve().parent.parent
+    argv = _segment_argv(workdir, workdir / "raw.txt", workdir / "base.txt", tmp_path / "seg.txt")
+    proc = subprocess.run(
+        [sys.executable, "-m", "embseg", *argv, "--window", "0"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: window must be >= 1, got 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dictionary_without_boundary_markers_is_named_before_decoding(tmp_path, monkeypatch):
+    lex = Lexicon(("a", "b"), (3, 2))
+    lex.save(str(tmp_path / "dict.tsv"))
+    save_embeddings(str(tmp_path / "emb.txt"), lex, np.array([[0.5, 1.0], [1.0, 0.25]]))
+    (tmp_path / "raw.txt").write_text("ab\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "segment_sentence", _refuse("decoded a line"))
+    rc, out, err = _run([
+        "segment", "--input", str(tmp_path / "raw.txt"), "--dict", str(tmp_path / "dict.tsv"),
+        "--emb", str(tmp_path / "emb.txt"), "--out", str(tmp_path / "seg.txt"),
+    ])
+    assert (rc, out, err) == (1, "", f"error: {tmp_path / 'dict.tsv'}: no {BOS} entry; re-run train\n")
+    assert not (tmp_path / "seg.txt").exists()

@@ -1,6 +1,7 @@
 """Beam decoder: scoring, ranking, growth, and fallbacks."""
 import time
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,6 +232,15 @@ def test_empty_fragment_raises():
         beam_search("", lex, _table_cache(lex))
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_beam_search_rejects_window_below_one(window):
+    # recent[-0:] is the whole tuple, so window=0 would silently score
+    # against every predecessor
+    lex = _make_lexicon(["a"])
+    with pytest.raises(ValueError, match="window"):
+        beam_search("aaa", lex, _table_cache(lex), window=window)
+
+
 def test_incremental_equals_recompute_on_finals():
     frag = "abcab"
     subs = sorted({frag[a:b] for a in range(len(frag)) for b in range(a + 1, len(frag) + 1)})
@@ -261,7 +271,7 @@ def test_dynamic_growth_six_char_word():
 def test_fallback_uses_baseline_tokens_verbatim():
     lex = Lexicon((BOS, EOS, "unrelated"), (1, 1, 1))
     cache = SimilarityCache(init_embeddings(3, 6, np.random.default_rng(3)))
-    params = BeamParams(retry_cap=1)
+    params = BeamParams()
     counters = {}
     out = segment_sentence(
         "xyz", lex, cache, params, baseline_tokens=["xy", "z"], counters=counters
@@ -278,24 +288,20 @@ def test_growth_terminates_without_retry_cap():
     assert segment_sentence("zz", lex, cache, BeamParams()) == "z z"
 
 
-def _reference_growth(fragment, lex, cache, params, window):
+def _reference_growth(fragment, lex, cache, params, beam_step, len_step):
     """The growth schedule with every round run, none skipped."""
     k, m = params.beam_size, params.max_word_len
-    rounds = covered_failures = 0
+    covered_failures = 0
     while True:
-        res = beam_search(fragment, lex, cache, beam_size=k, max_word_len=m, window=window)
+        res = beam_search(fragment, lex, cache, beam_size=k, max_word_len=m, window=params.window)
         if res is not None:
             return res[0]
-        rounds += 1
-        if params.retry_cap is not None:
-            if rounds > params.retry_cap:
-                return None
-        elif m >= len(fragment):
+        if m >= len(fragment):
             covered_failures += 1
             if covered_failures >= 4:
                 return None
-        k += params.beam_step
-        m += params.len_step
+        k += beam_step
+        m += len_step
 
 
 @st.composite
@@ -315,25 +321,28 @@ def _decode_cases(draw):
     params = BeamParams(
         beam_size=draw(st.integers(1, 3)),
         max_word_len=draw(st.integers(1, 3)),
-        beam_step=draw(st.integers(1, 3)),
-        len_step=draw(st.integers(1, 2)),
-        retry_cap=draw(st.none() | st.integers(0, 2)),
+        window=draw(st.integers(1, 4)),
     )
-    return fragment, lex, cache, params, draw(st.integers(1, 4))
+    # small growth steps, so that pruning after growth is exercised
+    steps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    return fragment, lex, cache, params, steps
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_decode_cases())
 def test_growth_skipping_matches_every_round(case):
-    fragment, lex, cache, params, window = case
-    want = _reference_growth(fragment, lex, cache, params, window)
-    assert _decode_with_growth(fragment, lex, cache, params, window) == want
+    fragment, lex, cache, params, (beam_step, len_step) = case
+    want = _reference_growth(fragment, lex, cache, params, beam_step, len_step)
+    with mock.patch.object(decoder, "_BEAM_STEP", beam_step), \
+            mock.patch.object(decoder, "_LEN_STEP", len_step):
+        assert _decode_with_growth(fragment, lex, cache, params) == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_decode_cases())
 def test_carried_rank_equals_recomputed(case):
-    fragment, lex, cache, params, window = case
+    fragment, lex, cache, params, _ = case
+    window = params.window
     bos = lex.id_of(BOS)
     beam = [_Open((bos,), "", 1, 0.0, (bos,), ())]
     for ch in fragment:
@@ -352,7 +361,8 @@ def test_carried_rank_equals_recomputed(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_decode_cases())
 def test_beam_search_matches_reference_beam(case):
-    fragment, lex, cache, params, window = case
+    fragment, lex, cache, params, _ = case
+    window = params.window
     for k, m in ((params.beam_size, params.max_word_len), (params.beam_size + 3, lex.longest + 2)):
         want = _reference_beam(fragment, lex, cache, k, m, window)
         got = beam_search(fragment, lex, cache, beam_size=k, max_word_len=m, window=window,
@@ -371,10 +381,12 @@ def test_dead_buffer_holds_the_only_slot():
     assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=5) == (["aaaaa", "a"], -0.5)
     assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=6, return_finals=True) == (None, [])
     assert beam_search("aaaaaa", lex, cache, beam_size=2, max_word_len=6)[0] == ["a"] * 6
+    # the bound already covers the fragment, so the growth round widens
+    # the beam and recovers
     counters = {}
-    out = segment_sentence("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=6, retry_cap=0),
+    out = segment_sentence("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=6),
                            baseline_tokens=["aaaaaa"], counters=counters)
-    assert (out, counters["fallbacks"]) == ("aaaaaa", 1)
+    assert (out, counters["fallbacks"]) == ("a a a a a a", 0)
 
 
 @pytest.mark.parametrize("fragment", ["abcabc", "ababcab", "cabcabcab"])
@@ -408,16 +420,20 @@ def test_growth_skips_rounds_below_seven_char_word(monkeypatch):
         return beam_search(*args, **kwargs)
 
     monkeypatch.setattr(decoder, "beam_search", counting_search)
-    assert segment_sentence("abcdefg", lex, cache, BeamParams(retry_cap=2)) == "abcdefg"
-    assert bounds == [5, 7]  # the round at bound 6 is counted but not run
+    assert segment_sentence("abcdefg", lex, cache, BeamParams()) == "abcdefg"
+    assert bounds == [5, 7]  # the round at bound 6 advances the schedule but is not run
 
-    counters = {}
-    out = segment_sentence(
-        "abcdefg", lex, cache, BeamParams(retry_cap=1),
-        baseline_tokens=["abc", "defg"], counters=counters,
-    )
-    assert out == "abc defg"
-    assert counters["fallbacks"] == 1
+
+def test_growth_gives_up_after_four_covered_failures(monkeypatch):
+    # the word-length bound covers the fragment from the first round on;
+    # with one more beam slot per round, beams of 1 to 4 die and a beam of
+    # 5 survives, so the fourth covered round is the last one run
+    lex = _make_lexicon(["a", "ab", "aba", "bbab"])
+    cache = SimilarityCache(np.random.default_rng(83).normal(size=(len(lex), 3)))
+    monkeypatch.setattr(decoder, "_BEAM_STEP", 1)
+    want, _ = beam_search("aababaaa", lex, cache, beam_size=5, max_word_len=11)
+    assert _decode_with_growth("aababaaa", lex, cache, BeamParams(beam_size=2, max_word_len=8)) == want
+    assert _decode_with_growth("aababaaa", lex, cache, BeamParams(beam_size=1, max_word_len=8)) is None
 
 
 def test_long_oov_fragment_falls_back_fast():
@@ -472,7 +488,7 @@ def test_fallback_carve_with_delimiters():
     lex = Lexicon((BOS, EOS, "q"), (1, 1, 1))
     cache = SimilarityCache(init_embeddings(3, 4, np.random.default_rng(1)))
     out = segment_sentence(
-        "xy。zw", lex, cache, BeamParams(retry_cap=0), baseline_tokens=["x", "y。z", "w"]
+        "xy。zw", lex, cache, BeamParams(), baseline_tokens=["x", "y。z", "w"]
     )
     assert out == "x y 。 z w"
 
@@ -491,9 +507,7 @@ def test_segment_preserves_delimiters():
     [
         {"beam_size": 0},
         {"max_word_len": 0},
-        {"beam_step": 0},
-        {"len_step": 0},
-        {"retry_cap": -1},
+        {"window": 0},
     ],
 )
 def test_beam_params_validation(kwargs):

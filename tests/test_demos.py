@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the package source."""
+"""Every demo script and every Python example in README.md runs to
+completion against the package source."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+def _run(args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_has_a_python_example():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_example_runs(block, tmp_path):
+    _run(["-c", block], tmp_path)

@@ -246,6 +246,25 @@ def test_cache_file_rejects_bad_records(tmp_path, key, value, what):
     _rejected(path, emb, what)
 
 
+@pytest.mark.parametrize(
+    "records, index",
+    [
+        ([(0, 1, 0.5), (0, 1, 0.9)], 1),                # a duplicate pair: the last would win
+        ([(2, 3, 0.5), (0, 1, 0.25)], 1),               # descending
+        ([(0, 2, 0.5), (1, 2, 0.25), (0, 3, 0.75)], 2),  # ascending a, then back
+    ],
+)
+def test_cache_file_rejects_records_not_in_ascending_pair_order(tmp_path, records, index):
+    _, emb = _setup([["a", "b"]])  # 4 words with the markers
+    path = tmp_path / "bad.bin"
+    save_cache(str(path), SimilarityCache(emb, {(0, 2): 0.25, (0, 3): 0.5}))
+    raw = path.read_bytes()
+    vocab_size, _, digest = _HEADER.unpack_from(raw, 5)
+    body = np.array(records, dtype=_ENTRY).tobytes()
+    path.write_bytes(raw[:5] + _HEADER.pack(vocab_size, len(records), digest) + body)
+    _rejected(path, emb, rf"record {index} .*duplicate or out-of-order")
+
+
 def test_cache_file_rejects_trailing_and_missing_bytes(tmp_path):
     sent = [["a", "b"]]
     lex, emb = _setup(sent)
