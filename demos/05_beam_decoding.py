@@ -3,8 +3,9 @@
 The decoder walks a fragment character by character, keeping the best
 partial segmentations ranked by the running mean of each word's cosine
 against its recent predecessors.  When no hypothesis survives, the beam
-widens and the word-length bound grows; if that never succeeds, the
-baseline tokens are kept verbatim.
+widens and the word-length bound grows.  Once the bound covers the
+fragment or the longest dictionary word, four more failed rounds end
+the growth, and the baseline tokens are kept verbatim.
 """
 import numpy as np
 
@@ -22,7 +23,7 @@ def main() -> None:
     emb[lex.id_of("黑天鹅")] = emb[lex.id_of("湖上")] + 0.05 * rng.normal(size=8)
     cache = SimilarityCache(emb)
 
-    result = beam_search("湖上黑天鹅", lex, cache, beam_size=10, max_word_len=5)
+    result = beam_search("湖上黑天鹅", lex, cache, BeamParams())
     segmentation, mean = result
     print(f"beam result: {' '.join(segmentation)}  (mean score {mean:+.3f})")
 
@@ -30,8 +31,7 @@ def main() -> None:
     # round (beam +10, word length +1) brings it in
     lex6 = Lexicon((BOS, EOS, "一二三四五六"), (1, 1, 1))
     cache6 = SimilarityCache(np.random.default_rng(1).normal(size=(3, 8)))
-    print("stock bounds:", beam_search("一二三四五六", lex6, cache6,
-                                       beam_size=10, max_word_len=5))
+    print("stock bounds:", beam_search("一二三四五六", lex6, cache6, BeamParams()))
     print("after growth:", segment_sentence("一二三四五六", lex6, cache6, BeamParams()))
 
     # nothing in the dictionary covers this line: baseline tokens survive

@@ -102,6 +102,8 @@ def _read_aligned(path: str, gold_path: str, gold: list[list[str]]) -> list[list
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.no_cache and args.cache is not None:
+        raise ValueError("--cache and --no-cache contradict each other: pass one of them")
     if not args.no_cache and not args.cache:
         raise ValueError("train writes a cache file: pass --cache PATH or --no-cache")
     seed = args.seed if args.seed is not None else time.time_ns() % (2**31)
@@ -111,12 +113,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=seed,
     )
     t0 = time.perf_counter()
-    cache_path = None if args.no_cache else args.cache
     with ExitStack() as stack:
         # every output given is created before training and replaced only on success
         dict_tmp, emb_tmp, cache_tmp, dump_tmp = (
             None if path is None else stack.enter_context(_replaced_on_success(path))
-            for path in (args.dict, args.emb, cache_path, args.dump_samples)
+            for path in (args.dict, args.emb, args.cache, args.dump_samples)
         )
         dump = stack.enter_context(open(dump_tmp, "w", encoding="utf-8")) if dump_tmp else None
         sentences = list(read_segmented_corpus(args.corpus))

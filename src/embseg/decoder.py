@@ -11,13 +11,17 @@ flushes a word, and carried unchanged while its buffer grows.  Each
 search first indexes the fragment's dictionary lattice (the id of every
 dictionary word fragment[s:e]), keeps each buffer as a start offset and
 memoises word scores, so its inner loop builds no strings and looks up
-no text.
+no text.  beam_search takes the beam size, word-length bound and window
+from one frozen BeamParams and returns (words, score), or None when the
+beam dies.
 
 When the whole beam dies the search restarts with a larger beam and
 word-length bound, so every input eventually gets some segmentation (its
 baseline tokens, or single characters, in the worst case).  Each round
 adds _BEAM_STEP beam slots and _LEN_STEP to the bound, and the decoder
-gives up after 4 failed rounds whose bound covers the whole fragment.
+gives up after 4 failed rounds whose bound covers the whole fragment or
+the longest dictionary word: past that word the lattice no longer
+changes, only the beam widens.
 After the first failure one pass over the fragment's dictionary lattice
 finds the smallest word-length bound at which any tiling exists.  Rounds
 below that bound cannot succeed, so they advance the schedule without
@@ -28,7 +32,7 @@ it would if none were skipped, so the output is the same.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple, Sequence
@@ -40,7 +44,6 @@ from .simcache import SimilarityCache
 __all__ = [
     "BeamParams",
     "Hypothesis",
-    "word_logp",
     "recompute_mean_logp",
     "beam_search",
     "segment_sentence",
@@ -54,7 +57,7 @@ _BEAM_STEP = 10
 _LEN_STEP = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeamParams:
     """The `segment` decoding flags: --beam, --max-word-len and --window."""
 
@@ -69,30 +72,14 @@ class BeamParams:
 
 
 class Hypothesis(NamedTuple):
-    """A closed segmentation, as beam_search lists its finals."""
+    """A closed segmentation, as _finals lists them."""
 
-    seg: tuple[int, ...]        # flushed word ids, begin marker first
-    word_count: int             # len(seg)
-    sum_logp: float             # sum of per-word log probabilities
-    recent: tuple[int, ...]     # last min(window, word_count) ids, oldest first
-    lens: tuple[int, ...]       # real-word lengths, for deterministic tie-breaks
-    rank: tuple = ()            # sort key, see beam_search
-
-    def mean_logp(self) -> float:
-        """Current score: mean log probability over scored words."""
-        return self.sum_logp / (self.word_count - 1) if self.word_count > 1 else 0.0
+    seg: tuple[int, ...]  # word ids, begin and end markers included
+    score: float          # mean of the per-word scores after the begin marker
+    rank: tuple           # sort key, see _finals
 
 
 _carried_rank = attrgetter("rank")
-
-
-def word_logp(word: int, recent: Sequence[int], cache: SimilarityCache, window: int) -> float:
-    """Mean cosine between `word` and up to `window` most recent predecessors.
-
-    With no predecessors (the begin marker itself) the contribution is 0.
-    """
-    preds = recent[-window:]
-    return cache.mean_similarity(word, preds) if preds else 0.0
 
 
 def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int) -> float:
@@ -112,10 +99,11 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
 
 
 class _ScoreMemo(dict):
-    """word_logp of each (word, recent) key met in one search, computed on
-    first use; the same call gives the same float every time.  A beam's
-    recent ids are already cut to the window and always hold at least the
-    begin marker, so the key is scored as it stands."""
+    """The score of each (word, recent) key met in one search: the mean
+    cosine between the word and its recent predecessors, computed on first
+    use; the same call gives the same float every time.  A beam's recent
+    ids are already cut to the window and always hold at least the begin
+    marker, so the key is scored as it stands."""
 
     def __init__(self, cache: SimilarityCache):
         super().__init__()
@@ -136,30 +124,21 @@ def _word_ids(fragment: str, lexicon: Lexicon, max_len: int) -> list[dict[int, i
     ]
 
 
-def beam_search(
+def _finals(
     fragment: str,
     lexicon: Lexicon,
     cache: SimilarityCache,
-    *,
-    beam_size: int = 10,
-    max_word_len: int = 5,
-    window: int = 4,
-    return_finals: bool = False,
-):
-    """Best segmentation of a delimiter-free fragment, or None if no
-    hypothesis survives at this beam size and word-length bound.
-
-    Returns (words, mean_logp); the word list never includes the boundary
-    markers, while the score does include the end marker's term.  With
-    return_finals=True the full list of surviving final hypotheses is
-    returned as a second value (verification hook).
+    params: BeamParams,
+) -> list[Hypothesis]:
+    """The closed hypotheses that survive the beam over `fragment`; empty
+    when the whole beam dies.
 
     Each character either extends a hypothesis's buffer (while it still
     fits max_word_len) or flushes the buffer as a dictionary word and opens
     a fresh one.  A beam entry is (rank, start, sum_logp, recent): its
     buffer is fragment[start:p] at position p.  The rank is
 
-        (-round(mean_logp * 1e9), word_count, negated word lengths, seg)
+        (-round(score * 1e9), word_count, negated word lengths, seg)
 
     and smaller ranks come first: the score, quantized so that differences
     under 1e-9 tie, then fewer words, then longer early words, then the
@@ -169,8 +148,7 @@ def beam_search(
     """
     if not fragment:
         raise ValueError("cannot decode an empty fragment")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    beam_size, max_word_len, window = params.beam_size, params.max_word_len, params.window
     bos = lexicon.id_of(BOS)
     eos = lexicon.id_of(EOS)
     n = len(fragment)
@@ -195,7 +173,7 @@ def beam_search(
                     p, total, (recent + (wid,))[-window:],
                 ))
         if not cands:
-            return (None, []) if return_finals else None
+            return []
         cands.sort()  # ranks are unique, so this sorts by rank alone
         beam = cands[:beam_size]
     # Past the last character the buffer must close as a word, and the end
@@ -206,27 +184,34 @@ def beam_search(
         wid = flushable.get(start)
         if wid is None:
             continue
-        logp_w = memo[wid, recent]
-        recent = (recent + (wid,))[-window:]
-        logp_e = memo[eos, recent]
+        total += memo[wid, recent]
+        total += memo[eos, (recent + (wid,))[-window:]]
         seg = rank[3] + (wid, eos)
         count = rank[1] + 2
-        total = total + logp_w + logp_e
-        neg_lens = rank[2] + (start - n,)
-        # tuple() of a list, not of a generator: a generator's tuple is
-        # allocated at a guessed size and resized, which drains the
-        # interpreter's free list of that size and overfills the others
-        lens = tuple([-x for x in neg_lens])
+        score = total / (count - 1)
         finals.append(Hypothesis(
-            seg, count, total, (recent + (eos,))[-window:], lens,
-            (-round(total / (count - 1) * _SCORE_QUANTUM), count, neg_lens, seg),
+            seg, score, (-round(score * _SCORE_QUANTUM), count, rank[2] + (start - n,), seg),
         ))
+    return finals
+
+
+def beam_search(
+    fragment: str,
+    lexicon: Lexicon,
+    cache: SimilarityCache,
+    params: BeamParams = BeamParams(),
+) -> tuple[list[str], float] | None:
+    """Best segmentation of a delimiter-free fragment, or None if no
+    hypothesis survives at this beam size and word-length bound.
+
+    Returns (words, score); the word list never includes the boundary
+    markers, while the score does include the end marker's term.
+    """
+    finals = _finals(fragment, lexicon, cache, params)
     if not finals:
-        return (None, finals) if return_finals else None
+        return None
     best = min(finals, key=_carried_rank)
-    words = [lexicon.word_of(i) for i in best.seg[1:-1]]
-    result = (words, best.mean_logp())
-    return (result, finals) if return_finals else result
+    return [lexicon.word_of(i) for i in best.seg[1:-1]], best.score
 
 
 def _min_tiling_len(fragment: str, lexicon: Lexicon) -> int | None:
@@ -251,30 +236,26 @@ def _decode_with_growth(
     cache: SimilarityCache,
     params: BeamParams,
 ) -> list[str] | None:
-    k = params.beam_size
-    m = params.max_word_len
+    # past the longest word the lattice no longer changes, only the beam widens
+    cover = min(len(fragment), lexicon.longest)
     covered_failures = 0
     need = 0  # beam_search fails below this word-length bound; found on the first failure
     while True:
+        m = params.max_word_len
         if m >= need:
-            res = beam_search(
-                fragment, lexicon, cache,
-                beam_size=k, max_word_len=m, window=params.window,
-            )
+            res = beam_search(fragment, lexicon, cache, params)
             if res is not None:
                 return res[0]
             if need == 0:
                 need = _min_tiling_len(fragment, lexicon)
                 if need is None:
                     return None  # every round of the schedule would fail
-        if m >= len(fragment):
-            # the length bound already covers the whole fragment; allow a
-            # few beam-only growth rounds before giving up
+        if m >= cover:
+            # a few beam-only growth rounds before giving up
             covered_failures += 1
             if covered_failures >= 4:
                 return None
-        k += _BEAM_STEP
-        m += _LEN_STEP
+        params = replace(params, beam_size=params.beam_size + _BEAM_STEP, max_word_len=m + _LEN_STEP)
 
 
 def _carve_baseline(tokens: Sequence[str], frags: Sequence[str]) -> list[list[str]]:
@@ -305,7 +286,7 @@ def segment_sentence(
     line: str,
     lexicon: Lexicon,
     cache: SimilarityCache,
-    params: BeamParams | None = None,
+    params: BeamParams = BeamParams(),
     *,
     baseline_tokens: Sequence[str] | None = None,
     counters: dict | None = None,
@@ -318,7 +299,6 @@ def segment_sentence(
     preserved exactly.  `counters`, when passed, accumulates "fragments"
     and "fallbacks" tallies.
     """
-    params = params if params is not None else BeamParams()
     pieces = split_fragments(line)
     frags = fragment_texts(pieces)
     base = _carve_baseline(baseline_tokens, frags) if baseline_tokens is not None else None

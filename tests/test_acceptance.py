@@ -19,7 +19,7 @@ from embseg.corpus import (
     reassemble,
     split_fragments,
 )
-from embseg.decoder import BeamParams, beam_search, recompute_mean_logp, segment_sentence
+from embseg.decoder import BeamParams, _finals, beam_search, recompute_mean_logp, segment_sentence
 from embseg.evaluate import score, word_improvement_report
 from embseg.lexicon import Lexicon, SubsampleTable
 from embseg.sampler import (
@@ -106,13 +106,12 @@ def beam_oracle_runs():
             for a in range(len(lex)) for b in range(a + 1, len(lex))
         }
         cache = SimilarityCache(emb, table)
-        res, finals = beam_search(
-            frag, lex, cache, beam_size=1 << (n - 1), max_word_len=n,
-            return_finals=True,
-        )
+        params = BeamParams(beam_size=1 << (n - 1), max_word_len=n)
+        res = beam_search(frag, lex, cache, params)
+        finals = _finals(frag, lex, cache, params)
         want = _oracle_best(frag, lex, cache, 4)
         max_dev = max(
-            (abs(h.mean_logp() - recompute_mean_logp(h.seg, cache, 4)) for h in finals),
+            (abs(h.score - recompute_mean_logp(h.seg, cache, 4)) for h in finals),
             default=0.0,
         )
         runs.append((frag, res, want, len(finals), max_dev))
@@ -269,8 +268,8 @@ def test_criterion_06_incremental_scoring(beam_oracle_runs):
 def test_criterion_07_dynamic_growth_and_fallback():
     lex = Lexicon((BOS, EOS, "abcdef"), (1, 1, 1))
     cache = SimilarityCache(init_embeddings(3, 8, np.random.default_rng(3)))
-    assert beam_search("abcdef", lex, cache, beam_size=10, max_word_len=5) is None
-    res = beam_search("abcdef", lex, cache, beam_size=20, max_word_len=6)
+    assert beam_search("abcdef", lex, cache, BeamParams(beam_size=10, max_word_len=5)) is None
+    res = beam_search("abcdef", lex, cache, BeamParams(beam_size=20, max_word_len=6))
     assert res is not None
     assert res[0] == ["abcdef"]
 

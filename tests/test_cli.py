@@ -639,6 +639,17 @@ def test_empty_train_output_path_fails_before_the_corpus_is_read(workdir, tmp_pa
     assert list(tmp_path.rglob("*")) == [cwd]
 
 
+def test_train_rejects_cache_with_no_cache_before_any_output(workdir, tmp_path, monkeypatch):
+    # accepted, the pair would train fully and never write the --cache it names
+    monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))
+    monkeypatch.setattr(cli, "train", _refuse("trained"))
+    rc, out, err = _run([*_train_argv(workdir, tmp_path), "--no-cache"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--cache" in err and "--no-cache" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["segment", "report"])
 def test_empty_out_path_fails_before_any_input_is_read(trained, tmp_path, monkeypatch, command):
     workdir, _ = trained

@@ -1,4 +1,5 @@
 """Beam decoder: scoring, ranking, growth, and fallbacks."""
+import dataclasses
 import time
 from typing import NamedTuple
 from unittest import mock
@@ -14,11 +15,11 @@ from embseg.decoder import (
     Hypothesis,
     _carve_baseline,
     _decode_with_growth,
+    _finals,
     _min_tiling_len,
     beam_search,
     recompute_mean_logp,
     segment_sentence,
-    word_logp,
 )
 from embseg.lexicon import Lexicon
 from embseg.simcache import SimilarityCache
@@ -41,19 +42,6 @@ def _table_cache(lex, default=0.0, overrides=None):
     return SimilarityCache(emb, table)
 
 
-def test_word_logp_window_and_empty():
-    lex = _make_lexicon(["a", "b", "c", "d", "e", "w"])
-    cache = _table_cache(lex, overrides={
-        ("w", "a"): 9.9, ("w", "b"): 0.1, ("w", "c"): 0.2,
-        ("w", "d"): 0.3, ("w", "e"): 0.4,
-    })
-    ids = [lex.id_of(x) for x in ("a", "b", "c", "d", "e")]
-    w = lex.id_of("w")
-    assert word_logp(w, ids, cache, 4) == pytest.approx((0.1 + 0.2 + 0.3 + 0.4) / 4)
-    assert word_logp(w, [], cache, 4) == 0.0
-    assert word_logp(w, ids, cache, 10) == pytest.approx((9.9 + 0.1 + 0.2 + 0.3 + 0.4) / 5)
-
-
 def _ref_word_logp(word, recent, cache, window):
     """Reference word score: plain similarity calls summed in order, so the
     reference beams below do not share the decoder's mean_similarity."""
@@ -64,17 +52,6 @@ def _ref_word_logp(word, recent, cache, window):
     for p in preds:
         total += cache.similarity(word, p)
     return total / len(preds)
-
-
-def test_word_logp_equals_reference_and_counts_every_pair():
-    lex = _make_lexicon(["a", "b", "c"])
-    emb = init_embeddings(len(lex), 6, np.random.default_rng(4))
-    a, b, c = (lex.id_of(x) for x in "abc")
-    recent = (lex.id_of(BOS), a, c, a, b)
-    fused, plain = SimilarityCache(emb, {(a, b): 0.1}), SimilarityCache(emb, {(a, b): 0.1})
-    for window in (1, 3, 4, 9):
-        assert word_logp(a, recent, fused, window) == _ref_word_logp(a, recent, plain, window)
-    assert (fused.hits, fused.misses) == (plain.hits, plain.misses) == (9, 4)
 
 
 class _Open(NamedTuple):
@@ -88,14 +65,21 @@ class _Open(NamedTuple):
     lens: tuple
     rank: tuple = ()
 
-    mean_logp = Hypothesis.mean_logp
+    def mean_logp(self):
+        return self.sum_logp / (self.word_count - 1) if self.word_count > 1 else 0.0
 
 
 def _rank_key(h):
-    """Reference sort key of a hypothesis, computed from scratch; smaller
-    ranks first."""
+    """Reference sort key of an open hypothesis, computed from scratch;
+    smaller ranks first."""
     neg_lens = tuple(-x for x in h.lens)
     return (-round(h.mean_logp() * 1e9), h.word_count, neg_lens, h.seg)
+
+
+def _final_rank_key(h, lex):
+    """Reference sort key of a closed hypothesis, from its score and words."""
+    neg_lens = tuple(-len(lex.word_of(i)) for i in h.seg[1:-1])
+    return (-round(h.score * 1e9), len(h.seg), neg_lens, h.seg)
 
 
 def _flushed_rank(sum_logp, word_count, neg_lens, seg):
@@ -127,7 +111,7 @@ def _extend(h, ch, lexicon, max_word_len, cache, window):
 
 
 def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
-    """beam_search built from _extend and _rank_key: (result, finals)."""
+    """beam_search and _finals built from _extend and _rank_key: (result, finals)."""
     bos, eos = lex.id_of(BOS), lex.id_of(EOS)
     beam = [_Open((bos,), "", 1, 0.0, (bos,), ())]
     for ch in fragment:
@@ -147,13 +131,12 @@ def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
         count = h.word_count + 2
         total = h.sum_logp + logp_w + logp_e
         finals.append(Hypothesis(
-            seg, count, total, (recent + (eos,))[-window:], h.lens + (len(h.buf),),
-            _flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg),
+            seg, total / (count - 1), _flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg),
         ))
     if not finals:
         return None, finals
-    best = min(finals, key=_rank_key)
-    return ([lex.word_of(i) for i in best.seg[1:-1]], best.mean_logp()), finals
+    best = min(finals, key=lambda h: _final_rank_key(h, lex))
+    return ([lex.word_of(i) for i in best.seg[1:-1]], best.score), finals
 
 
 def _all_segmentations(frag):
@@ -195,7 +178,7 @@ def test_beam_matches_exhaustive_small():
         subs = sorted({frag[a:b] for a in range(n) for b in range(a + 1, n + 1)})
         lex = _make_lexicon(subs)
         cache = SimilarityCache(init_embeddings(len(lex), 10, rng))
-        got = beam_search(frag, lex, cache, beam_size=1 << (n - 1), max_word_len=n)
+        got = beam_search(frag, lex, cache, BeamParams(beam_size=1 << (n - 1), max_word_len=n))
         want = _oracle_best(frag, lex, cache, 4)
         assert got is not None
         assert got[0] == want[0]
@@ -205,24 +188,21 @@ def test_beam_matches_exhaustive_small():
 def test_beam_none_when_no_covering_segmentation():
     lex = _make_lexicon(["a"])
     cache = _table_cache(lex)
-    assert beam_search("ax", lex, cache, beam_size=8, max_word_len=2) is None
-    result, finals = beam_search(
-        "ax", lex, cache, beam_size=8, max_word_len=2, return_finals=True
-    )
-    assert result is None
-    assert finals == []
+    params = BeamParams(beam_size=8, max_word_len=2)
+    assert beam_search("ax", lex, cache, params) is None
+    assert _finals("ax", lex, cache, params) == []
 
 
 def test_tie_breaking_prefers_fewer_then_longer_first():
     words = ["a", "b", "c", "d", "ab", "bc", "cd", "abc", "bcd", "abcd"]
     lex = _make_lexicon(words)
     cache = SimilarityCache(np.ones((len(lex), 4)))  # every cosine is exactly 1
-    got, _ = beam_search("abcd", lex, cache, beam_size=16, max_word_len=4)
+    got, _ = beam_search("abcd", lex, cache, BeamParams(beam_size=16, max_word_len=4))
     assert got == ["abcd"]
 
     lex2 = _make_lexicon([w for w in words if w != "abcd"])
     cache2 = SimilarityCache(np.ones((len(lex2), 4)))
-    got2, _ = beam_search("abcd", lex2, cache2, beam_size=16, max_word_len=4)
+    got2, _ = beam_search("abcd", lex2, cache2, BeamParams(beam_size=16, max_word_len=4))
     assert got2 == ["abc", "d"]
 
 
@@ -238,7 +218,16 @@ def test_beam_search_rejects_window_below_one(window):
     # against every predecessor
     lex = _make_lexicon(["a"])
     with pytest.raises(ValueError, match="window"):
-        beam_search("aaa", lex, _table_cache(lex), window=window)
+        beam_search("aaa", lex, _table_cache(lex), BeamParams(window=window))
+
+
+def test_beam_params_cannot_be_changed_after_validation():
+    params = BeamParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.beam_size = 0
+    with pytest.raises(ValueError, match="beam_size"):
+        dataclasses.replace(params, beam_size=0)
+    assert params == BeamParams()
 
 
 def test_incremental_equals_recompute_on_finals():
@@ -246,20 +235,17 @@ def test_incremental_equals_recompute_on_finals():
     subs = sorted({frag[a:b] for a in range(len(frag)) for b in range(a + 1, len(frag) + 1)})
     lex = _make_lexicon(subs)
     cache = SimilarityCache(init_embeddings(len(lex), 8, np.random.default_rng(9)))
-    result, finals = beam_search(
-        frag, lex, cache, beam_size=16, max_word_len=5, return_finals=True
-    )
-    assert result is not None
+    finals = _finals(frag, lex, cache, BeamParams(beam_size=16, max_word_len=5))
     assert finals
     for h in finals:
-        assert abs(h.mean_logp() - recompute_mean_logp(h.seg, cache, 4)) <= 1e-9
+        assert abs(h.score - recompute_mean_logp(h.seg, cache, 4)) <= 1e-9
 
 
 def test_dynamic_growth_six_char_word():
     lex = Lexicon((BOS, EOS, "abcdef"), (1, 1, 1))
     cache = SimilarityCache(init_embeddings(3, 6, np.random.default_rng(2)))
-    assert beam_search("abcdef", lex, cache, beam_size=10, max_word_len=5) is None
-    got, _ = beam_search("abcdef", lex, cache, beam_size=20, max_word_len=6)
+    assert beam_search("abcdef", lex, cache, BeamParams(beam_size=10, max_word_len=5)) is None
+    got, _ = beam_search("abcdef", lex, cache, BeamParams(beam_size=20, max_word_len=6))
     assert got == ["abcdef"]
 
     counters = {}
@@ -289,14 +275,16 @@ def test_growth_terminates_without_retry_cap():
 
 
 def _reference_growth(fragment, lex, cache, params, beam_step, len_step):
-    """The growth schedule with every round run, none skipped."""
+    """The growth schedule with every round run, none skipped; a failed
+    round counts as covering once its bound reaches the fragment's length
+    or the longest word."""
     k, m = params.beam_size, params.max_word_len
     covered_failures = 0
     while True:
-        res = beam_search(fragment, lex, cache, beam_size=k, max_word_len=m, window=params.window)
+        res = beam_search(fragment, lex, cache, BeamParams(k, m, params.window))
         if res is not None:
             return res[0]
-        if m >= len(fragment):
+        if m >= min(len(fragment), lex.longest):
             covered_failures += 1
             if covered_failures >= 4:
                 return None
@@ -350,12 +338,8 @@ def test_carried_rank_equals_recomputed(case):
         for c in cands:
             assert c.rank == _rank_key(c)
         beam = sorted(cands, key=_rank_key)[:params.beam_size]
-    _, finals = beam_search(
-        fragment, lex, cache, beam_size=params.beam_size,
-        max_word_len=params.max_word_len, window=window, return_finals=True,
-    )
-    for h in finals:
-        assert h.rank == _rank_key(h)
+    for h in _finals(fragment, lex, cache, params):
+        assert h.rank == _final_rank_key(h, lex)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -364,10 +348,9 @@ def test_beam_search_matches_reference_beam(case):
     fragment, lex, cache, params, _ = case
     window = params.window
     for k, m in ((params.beam_size, params.max_word_len), (params.beam_size + 3, lex.longest + 2)):
-        want = _reference_beam(fragment, lex, cache, k, m, window)
-        got = beam_search(fragment, lex, cache, beam_size=k, max_word_len=m, window=window,
-                          return_finals=True)
-        assert got == want
+        want_result, want_finals = _reference_beam(fragment, lex, cache, k, m, window)
+        assert _finals(fragment, lex, cache, BeamParams(k, m, window)) == want_finals
+        assert beam_search(fragment, lex, cache, BeamParams(k, m, window)) == want_result
 
 
 def test_dead_buffer_holds_the_only_slot():
@@ -378,9 +361,9 @@ def test_dead_buffer_holds_the_only_slot():
     lex = _make_lexicon(["a", "aaaaa"])
     cache = _table_cache(lex, default=-0.5)
     assert lex.longest == 5  # aaaaa is five characters long
-    assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=5) == (["aaaaa", "a"], -0.5)
-    assert beam_search("aaaaaa", lex, cache, beam_size=1, max_word_len=6, return_finals=True) == (None, [])
-    assert beam_search("aaaaaa", lex, cache, beam_size=2, max_word_len=6)[0] == ["a"] * 6
+    assert beam_search("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=5)) == (["aaaaa", "a"], -0.5)
+    assert _finals("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=6)) == []
+    assert beam_search("aaaaaa", lex, cache, BeamParams(beam_size=2, max_word_len=6))[0] == ["a"] * 6
     # the bound already covers the fragment, so the growth round widens
     # the beam and recovers
     counters = {}
@@ -395,10 +378,10 @@ def test_dead_buffers_match_reference(fragment, max_word_len):
     lex = _make_lexicon(["a", "b", "c", "ab", "abcab"])
     cache = _table_cache(lex, default=-0.25, overrides={("a", "b"): 0.5, ("ab", "c"): -0.75})
     for beam_size in (1, 2, 3):
-        want = _reference_beam(fragment, lex, cache, beam_size, max_word_len, 4)
-        got = beam_search(fragment, lex, cache, beam_size=beam_size, max_word_len=max_word_len,
-                          return_finals=True)
-        assert got == want
+        want_result, want_finals = _reference_beam(fragment, lex, cache, beam_size, max_word_len, 4)
+        params = BeamParams(beam_size=beam_size, max_word_len=max_word_len)
+        assert _finals(fragment, lex, cache, params) == want_finals
+        assert beam_search(fragment, lex, cache, params) == want_result
 
 
 def test_min_tiling_len():
@@ -415,13 +398,33 @@ def test_growth_skips_rounds_below_seven_char_word(monkeypatch):
     cache = SimilarityCache(init_embeddings(len(lex), 6, np.random.default_rng(2)))
     bounds = []
 
-    def counting_search(*args, **kwargs):
-        bounds.append(kwargs["max_word_len"])
-        return beam_search(*args, **kwargs)
+    def counting_search(fragment, lexicon, cache, params):
+        bounds.append(params.max_word_len)
+        return beam_search(fragment, lexicon, cache, params)
 
     monkeypatch.setattr(decoder, "beam_search", counting_search)
     assert segment_sentence("abcdefg", lex, cache, BeamParams()) == "abcdefg"
     assert bounds == [5, 7]  # the round at bound 6 advances the schedule but is not run
+
+
+def test_growth_stops_past_the_longest_word(monkeypatch):
+    # a tiling exists (bound 7, the longest word), but every beam prunes
+    # it; past bound 7 the lattice no longer changes, so the four covered
+    # rounds at bounds 7-10 end the schedule, where growing the bound to
+    # the fragment's 55 characters would take 53 searches
+    lex = _make_lexicon(["aabbb", "b", "bb", "bbbbabb", "bbbbbbb"])
+    cache = SimilarityCache(np.random.default_rng(4).normal(size=(len(lex), 2)))
+    fragment = "bbbbbbbbabbbbbbbbbbbbbbbbbbbbbbabbbbbbabbbbbbbbbbbbbabb"
+    assert (len(fragment), lex.longest, _min_tiling_len(fragment, lex)) == (55, 7, 7)
+    calls = []
+
+    def counting_search(*args):
+        calls.append(args)
+        return beam_search(*args)
+
+    monkeypatch.setattr(decoder, "beam_search", counting_search)
+    assert _decode_with_growth(fragment, lex, cache, BeamParams()) is None
+    assert len(calls) <= 5
 
 
 def test_growth_gives_up_after_four_covered_failures(monkeypatch):
@@ -431,7 +434,7 @@ def test_growth_gives_up_after_four_covered_failures(monkeypatch):
     lex = _make_lexicon(["a", "ab", "aba", "bbab"])
     cache = SimilarityCache(np.random.default_rng(83).normal(size=(len(lex), 3)))
     monkeypatch.setattr(decoder, "_BEAM_STEP", 1)
-    want, _ = beam_search("aababaaa", lex, cache, beam_size=5, max_word_len=11)
+    want, _ = beam_search("aababaaa", lex, cache, BeamParams(beam_size=5, max_word_len=11))
     assert _decode_with_growth("aababaaa", lex, cache, BeamParams(beam_size=2, max_word_len=8)) == want
     assert _decode_with_growth("aababaaa", lex, cache, BeamParams(beam_size=1, max_word_len=8)) is None
 
@@ -508,8 +511,12 @@ def test_segment_preserves_delimiters():
         {"beam_size": 0},
         {"max_word_len": 0},
         {"window": 0},
+        {"beam_size": -3},
     ],
 )
 def test_beam_params_validation(kwargs):
-    with pytest.raises(ValueError):
-        BeamParams(**kwargs)
+    # beam_search takes its options only as a BeamParams, so a bad option
+    # raises instead of reading as a dead beam, whose answer is None
+    lex = _make_lexicon(["a", "b"])
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        beam_search("ab", lex, _table_cache(lex), BeamParams(**kwargs))
