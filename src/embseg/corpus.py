@@ -161,4 +161,7 @@ def unescape_token(token: str) -> str:
 
 def add_boundary_markers(tokens: Iterable[str]) -> list[str]:
     """Wrap a sentence with the reserved begin and end marker tokens."""
-    return [BOS, *(escape_token(t) for t in tokens), EOS]
+    tokens = list(tokens)
+    if "⟨" not in "".join(tokens):  # every token escape_token renames holds one
+        return [BOS, *tokens, EOS]
+    return [BOS, *map(escape_token, tokens), EOS]

@@ -116,12 +116,20 @@ class _ScoreMemo(dict):
 
 def _word_ids(fragment: str, lexicon: Lexicon, max_len: int) -> list[dict[int, int]]:
     """The fragment's dictionary lattice: entry e maps each start s to the
-    id of the word fragment[s:e], for words of at most max_len characters."""
-    get = lexicon.index.get
-    return [
-        {s: wid for s in range(max(0, e - max_len), e) if (wid := get(fragment[s:e])) is not None}
-        for e in range(len(fragment) + 1)
-    ]
+    id of the word fragment[s:e], for words of at most max_len characters,
+    in ascending s.  Each start extends only while the text is a prefix
+    of some word."""
+    get = lexicon.prefixes.get
+    n = len(fragment)
+    ends: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for s in range(n):
+        for e in range(s + 1, min(n, s + max_len) + 1):
+            wid = get(fragment[s:e])
+            if wid is None:
+                break
+            if wid >= 0:
+                ends[e][s] = wid
+    return ends
 
 
 def _finals(
@@ -152,7 +160,7 @@ def _finals(
     bos = lexicon.id_of(BOS)
     eos = lexicon.id_of(EOS)
     n = len(fragment)
-    ends = _word_ids(fragment, lexicon, min(lexicon.longest, max_word_len))
+    ends = _word_ids(fragment, lexicon, max_word_len)
     memo = _ScoreMemo(cache)
     beam = [((0, 1, (), (bos,)), 0, 0.0, (bos,))]
     for p in range(n):
@@ -223,7 +231,7 @@ def _min_tiling_len(fragment: str, lexicon: Lexicon) -> int | None:
     """
     n = len(fragment)
     never = n + 1
-    ends = _word_ids(fragment, lexicon, lexicon.longest)
+    ends = _word_ids(fragment, lexicon, n)
     need = [0]
     for e in range(1, n + 1):
         need.append(min((max(need[s], e - s) for s in ends[e]), default=never))

@@ -1,6 +1,7 @@
 """Word dictionary with counts and the target-subsampling rules."""
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -29,7 +30,6 @@ class Lexicon:
         self._index = {w: i for i, w in enumerate(self._words)}
         if len(self._index) != len(self._words):
             raise ValueError("duplicate word in lexicon")
-        self._index_view = MappingProxyType(self._index)
         self.total_tokens = int(self._counts.sum())
         # characters in the longest real word; the markers never occur in text
         self.longest = max((len(w) for w in self._words if w not in MARKERS), default=0)
@@ -53,10 +53,25 @@ class Lexicon:
     def counts(self) -> np.ndarray:
         return self._counts
 
-    @property
-    def index(self) -> Mapping[str, int]:
-        """Read-only word -> id mapping, for lookups in inner loops."""
-        return self._index_view
+    @cached_property
+    def prefixes(self) -> Mapping[str, int]:
+        """Read-only map from every non-empty prefix of a real word to the
+        id of the word it spells, or -1 when it spells none.
+
+        The markers are not real words, so no key maps to a marker's id;
+        marker text spelled inside a real word is a prefix like any other.
+        A string that is not a key starts no word, so an enumeration of
+        dictionary substrings stops extending at it.  Built on first use,
+        so loading a dictionary does not pay for it.
+        """
+        table: dict[str, int] = {}
+        for wid, word in enumerate(self._words):
+            if word in MARKERS:
+                continue
+            table[word] = wid
+            for k in range(1, len(word)):
+                table.setdefault(word[:k], -1)
+        return MappingProxyType(table)
 
     def __len__(self) -> int:
         return len(self._words)

@@ -2,12 +2,16 @@
 
 For one sampled target occurrence the batch holds
   - a positive pair per context word inside the window,
-  - negatives for every in-dictionary substring of the flanking character
-    sequences that is not itself a context word,
+  - negatives for every real dictionary word spelled by a substring of the
+    flanking character sequences that is not itself a context word,
   - negatives for every ordered disjoint substring pair inside a
     multi-character target, and
   - uniformly drawn noise negatives.
 Negatives share one class weight computed from the batch's class counts.
+The boundary markers are tokens, not text: no negative pairs a substring
+with a marker, even where a word spells the marker's characters.  Both
+substring enumerations walk each start offset through `Lexicon.prefixes`
+and stop at the first substring that no real word starts with.
 """
 from __future__ import annotations
 
@@ -72,53 +76,60 @@ def context_negatives(words: list[str], i: int, window: int, lexicon: Lexicon) -
 
     The characters of the left and right context words are concatenated
     (markers excluded; they are not character sequences of real text), and
-    every distinct in-dictionary substring that is not one of the context
-    words becomes a negative for the target.
+    every distinct real word spelled by a substring, other than the context
+    words, becomes a negative for the target.  Pairs come out in order of
+    the first substring spelling them, by start and then end offset, left
+    flank first.
     """
     lo = max(0, i - window)
     hi = min(len(words), i + window + 1)
-    context = {words[j] for j in range(lo, hi) if j != i}
+    skip = {words[j] for j in range(lo, hi) if j != i}  # context words, then each word emitted
     left = "".join(w for w in words[lo:i] if w not in MARKERS)
     right = "".join(w for w in words[i + 1:hi] if w not in MARKERS)
     target_id = lexicon.id_of(words[i])
-    index = lexicon.index
-    longest = lexicon.longest  # no longer substring is a real word
+    get = lexicon.prefixes.get
     out: list[tuple[int, int]] = []
-    emitted: set[str] = set()
     for seq in (left, right):
         n = len(seq)
         for a in range(n):
-            for b in range(a + 1, min(n, a + longest) + 1):
+            for b in range(a + 1, n + 1):
                 sub = seq[a:b]
-                if sub not in index or sub in emitted or sub in context:
+                wid = get(sub)
+                if wid is None:  # no real word starts with sub
+                    break
+                if wid < 0 or sub in skip:
                     continue
-                emitted.add(sub)
-                out.append((target_id, index[sub]))
+                skip.add(sub)
+                out.append((target_id, wid))
     return out
 
 
 def inword_negatives(word: str, lexicon: Lexicon) -> list[tuple[int, int]]:
     """Ordered disjoint substring pairs of a multi-character word.
 
-    Both sides must be in the dictionary; the left substring ends strictly
-    before the right one starts.  Single-character words and marker tokens
-    yield nothing.
+    Both sides must be real dictionary words; the left substring ends
+    strictly before the right one starts.  Single-character words and
+    marker tokens yield nothing.
     """
     if len(word) < 2 or word in MARKERS:
         return []
     k = len(word)
+    get = lexicon.prefixes.get
     out: list[tuple[int, int]] = []
     for a in range(k):
-        for b in range(a + 1, k + 1):
-            left = word[a:b]
-            if left not in lexicon:
+        for b in range(a + 1, k):
+            left_id = get(word[a:b])
+            if left_id is None:
+                break
+            if left_id < 0:
                 continue
-            left_id = lexicon.id_of(left)
             for c in range(b, k):
                 for d in range(c + 1, k + 1):
-                    right = word[c:d]
-                    if right in lexicon:
-                        out.append((left_id, lexicon.id_of(right)))
+                    right_id = get(word[c:d])
+                    if right_id is None:
+                        break
+                    if right_id >= 0:
+                        out.append((left_id, right_id))
     return out
 
 
@@ -175,16 +186,17 @@ def build_occurrence_batch(
     pos = positives(ids, i, window)
     if not pos:
         return None
-    raw = [(t, o, CTX_NEG) for t, o in context_negatives(words, i, window, lexicon)]
-    raw += [(t, o, INWORD_NEG) for t, o in inword_negatives(words[i], lexicon)]
-    raw += [(t, o, NOISE_NEG) for t, o in noise_negatives(ids[i], n_noise, rng, len(lexicon))]
-    seen: set[tuple[int, int]] = set()
-    negs: list[tuple[int, int, str]] = []
-    for t, o, src in raw:
-        if (t, o) in seen:
-            continue
-        seen.add((t, o))
-        negs.append((t, o, src))
+    ctx = context_negatives(words, i, window, lexicon)
+    seen = set(ctx)  # context negatives are distinct already
+    negs = [(t, o, CTX_NEG) for t, o in ctx]
+    for src, pairs in (
+        (INWORD_NEG, inword_negatives(words[i], lexicon)),
+        (NOISE_NEG, noise_negatives(ids[i], n_noise, rng, len(lexicon))),
+    ):
+        for pair in pairs:
+            if pair not in seen:
+                seen.add(pair)
+                negs.append((*pair, src))
     n_pos, n_neg = len(pos), len(negs)
     _, w_neg = class_weights(n_pos, n_neg, eta)
     samples = tuple(

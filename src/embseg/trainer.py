@@ -51,6 +51,9 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "mu", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0 or self.mu <= 0:
             raise ValueError("epsilon and mu must be positive")
         if self.eta < 0:
@@ -109,6 +112,49 @@ def sample_loss(sample: TrainingSample, emb: np.ndarray) -> float:
     return sample.weight * _log_sigmoid(sign * cos)
 
 
+def _stepper() -> Callable[[TrainingSample, np.ndarray, float], None]:
+    """A train_step that owns four 0-d float64 cells for its scalars.
+
+    numpy scales a vector by a 0-d float64 array faster than by a Python
+    float, which it converts on every call; the IEEE products are the
+    same.  So the step writes its scalars into the cells and scales
+    through them.  Each closure has cells of its own: two trainings, or
+    a training and a train_step call, never write each other's.
+    """
+    inv_c = np.empty(())   # 1 / (|u| |v|)
+    cu_c = np.empty(())    # cos / |u|^2
+    cv_c = np.empty(())    # cos / |v|^2
+    coef_c = np.empty(())  # lr * weight * dloss/dcos
+
+    def step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
+        u = emb[sample.target]
+        v = emb[sample.other]
+        # exactly np.linalg.norm of a 1-D float64 vector, without its overhead
+        nu = math.sqrt(u.dot(u))
+        nv = math.sqrt(v.dot(v))
+        if nu < _MIN_NORM or nv < _MIN_NORM:
+            raise ValueError("cosine undefined for a zero vector")
+        inv = 1.0 / (nu * nv)
+        cos = float(u.dot(v)) * inv
+        sign = 1.0 if sample.label == POSITIVE else -1.0
+        inv_c[()] = inv
+        cu_c[()] = cos / (nu * nu)
+        cv_c[()] = cos / (nv * nv)
+        coef_c[()] = lr * sample.weight * sign * _sigmoid(-sign * cos)
+        # du = coef * (v*inv - u*cos/|u|^2), dv symmetrically, both from
+        # the pre-step rows; IEEE products commute, so *= coef is exact
+        du = v * inv_c
+        du -= u * cu_c
+        du *= coef_c
+        dv = u * inv_c
+        dv -= v * cv_c
+        dv *= coef_c
+        u += du
+        v += dv
+
+    return step
+
+
 def train_step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
     """One gradient-ascent update on the two rows touched by `sample`.
 
@@ -116,23 +162,10 @@ def train_step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
     dcos/du = v/(|u||v|) - cos*u/|u|^2 (symmetrically for v).  Both deltas
     are computed from the pre-step rows, then applied in place through
     the row views (when target == other both land on the same row, in the
-    same order).
+    same order).  This is the step `train` runs, with fresh scalar cells
+    for this call.
     """
-    u = emb[sample.target]
-    v = emb[sample.other]
-    # exactly np.linalg.norm of a 1-D float64 vector, without its overhead
-    nu = math.sqrt(u.dot(u))
-    nv = math.sqrt(v.dot(v))
-    if nu < _MIN_NORM or nv < _MIN_NORM:
-        raise ValueError("cosine undefined for a zero vector")
-    inv = 1.0 / (nu * nv)
-    cos = float(u.dot(v)) * inv
-    sign = 1.0 if sample.label == POSITIVE else -1.0
-    coef = lr * sample.weight * sign * _sigmoid(-sign * cos)
-    du = coef * (v * inv - u * (cos / (nu * nu)))
-    dv = coef * (u * inv - v * (cos / (nv * nv)))
-    u += du
-    v += dv
+    _stepper()(sample, emb, lr)
 
 
 def _repair_rows(emb: np.ndarray, rng: np.random.Generator, where: str) -> None:
@@ -180,6 +213,7 @@ def train(
     if total_positions == 0:
         return emb
 
+    step = _stepper()
     p_sub = table.p_sub.tolist()
     keep = table.keep_override.tolist()
     lr_span = _LR_START - _LR_END
@@ -201,7 +235,7 @@ def train(
                 for sample in batch.samples:
                     if sample_sink is not None:
                         sample_sink(sample)
-                    train_step(sample, emb, lr)
+                    step(sample, emb, lr)
                 batches += 1
                 if batches % _SWEEP_EVERY == 0:
                     _repair_rows(emb, rng, f"sweep at batch {batches}")
@@ -226,7 +260,7 @@ def save_embeddings(path: str, lexicon: Lexicon, emb: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{V} {d}\n")
         for wid in range(V):
-            vec = " ".join(repr(float(x)) for x in emb[wid])
+            vec = " ".join(map(repr, emb[wid].tolist()))  # tolist: exact Python floats
             fh.write(f"{lexicon.word_of(wid)} {vec}\n")
 
 

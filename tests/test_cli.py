@@ -639,6 +639,20 @@ def test_empty_train_output_path_fails_before_the_corpus_is_read(workdir, tmp_pa
     assert list(tmp_path.rglob("*")) == [cwd]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eta", "nan"), ("--eta", "inf"), ("--epsilon", "nan"), ("--mu", "inf"),
+])
+def test_non_finite_hyperparameter_fails_before_any_output(workdir, tmp_path, monkeypatch, flag, value):
+    # accepted, eta=nan turned every row into NaN and the final sweep
+    # re-randomized them all: a random table written without an error
+    monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))
+    monkeypatch.setattr(cli, "train", _refuse("trained"))
+    rc, out, err = _run([*_train_argv(workdir, tmp_path), flag, value])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {flag[2:]} must be finite, got {float(value)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_rejects_cache_with_no_cache_before_any_output(workdir, tmp_path, monkeypatch):
     # accepted, the pair would train fully and never write the --cache it names
     monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))

@@ -136,6 +136,15 @@ def test_escape_round_trip_property(token):
     assert escape_token(token) not in MARKERS
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(
+    st.sampled_from([BOS, EOS, "⟨⟨" + EOS, "⟨⟨"]) | st.text(alphabet="⟨⟩BOSE天a", min_size=1, max_size=8),
+    max_size=6,
+))
+def test_add_boundary_markers_escapes_every_token(tokens):
+    assert add_boundary_markers(iter(tokens)) == [BOS, *map(escape_token, tokens), EOS]
+
+
 def test_add_boundary_markers_escapes_collisions():
     assert add_boundary_markers(["a", BOS]) == [BOS, "a", "⟨⟨" + BOS, EOS]
 

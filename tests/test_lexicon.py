@@ -31,6 +31,28 @@ def test_longest_counts_real_words_only():
     assert Lexicon((BOS, EOS), (1, 1)).longest == 0
 
 
+def test_prefixes_map_every_prefix_of_a_real_word():
+    lex = Lexicon.from_sentences([["ab", "abcd", "b"], ["⟨EOS⟩z", "x⟨BOS⟩"]])
+    assert dict(lex.prefixes) == {
+        "a": -1, "ab": lex.id_of("ab"), "abc": -1, "abcd": lex.id_of("abcd"),
+        "b": lex.id_of("b"),
+        # marker text spelled inside real words is a prefix, never a word
+        "⟨": -1, "⟨E": -1, "⟨EO": -1, "⟨EOS": -1, "⟨EOS⟩": -1, "⟨EOS⟩z": lex.id_of("⟨EOS⟩z"),
+        "x": -1, "x⟨": -1, "x⟨B": -1, "x⟨BO": -1, "x⟨BOS": -1, "x⟨BOS⟩": lex.id_of("x⟨BOS⟩"),
+    }
+    with pytest.raises(TypeError):
+        lex.prefixes["q"] = 0  # read-only
+
+
+def test_load_leaves_prefixes_unbuilt(tmp_path):
+    path = str(tmp_path / "dict.tsv")
+    Lexicon.from_sentences([["ab", "c"]]).save(path)
+    lex = Lexicon.load(path)
+    assert "prefixes" not in vars(lex)  # built on first use, by the sampler or decoder
+    assert lex.prefixes["a"] == -1
+    assert "prefixes" in vars(lex)
+
+
 def test_unknown_word_message():
     lex = Lexicon(("a",), (1,))
     with pytest.raises(KeyError, match="unknown word"):

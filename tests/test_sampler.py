@@ -1,6 +1,7 @@
 """Positive windows and the three negative channels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embseg.corpus import BOS, EOS, MARKERS, add_boundary_markers
 from embseg.lexicon import Lexicon
@@ -43,6 +44,23 @@ def test_context_negatives_exclude_marker_text():
     lex = Lexicon.from_sentences([["OS", "x"], ["⟨B", "q"]])
     words = add_boundary_markers(["OS", "x"])
     assert context_negatives(words, 2, 4, lex) == []
+
+
+def test_context_negatives_never_emit_a_marker():
+    # the flank "x⟨EOS⟩y" spells the end marker; it is text, not a word
+    lex = Lexicon.from_sentences([["a", "b", "c", "d", "e", "x⟨EOS⟩y", "q", "r"], ["abcdef"]])
+    words = add_boundary_markers(["a", "b", "c", "d", "e", "x⟨EOS⟩y", "q", "r"])
+    assert context_negatives(words, words.index("q"), 1, lex) == []
+    # nor when a real word starts with the marker's text
+    lex = Lexicon.from_sentences([["⟨EOS⟩z", "q", "x⟨EOS⟩"]])
+    words = add_boundary_markers(["⟨EOS⟩z", "q", "x⟨EOS⟩"])
+    assert context_negatives(words, 2, 1, lex) == []
+
+
+def test_inword_negatives_never_emit_a_marker():
+    lex = Lexicon.from_sentences([["x", "x⟨EOS⟩", "⟨BOS⟩y", "y"]])
+    assert inword_negatives("x⟨EOS⟩", lex) == []
+    assert inword_negatives("⟨BOS⟩y", lex) == []
 
 
 def test_context_negatives_reach_the_longest_word():
@@ -135,6 +153,60 @@ def test_inword_matches_index_oracle_four_chars():
                 for d in range(c + 1, 5):
                     expected.add((lex.id_of(word[a:b]), lex.id_of(word[c:d])))
     assert set(inword_negatives(word, lex)) == expected
+
+
+def _real_words(lex):
+    return {w: i for i, w in enumerate(lex.words) if w not in MARKERS}
+
+
+def _brute_context(words, i, window, lex):
+    """Every start and end offset of both flanks, in order, first hit wins."""
+    real = _real_words(lex)
+    lo = max(0, i - window)
+    hi = min(len(words), i + window + 1)
+    skip = {words[j] for j in range(lo, hi) if j != i}
+    out = []
+    for flank in (words[lo:i], words[i + 1:hi]):
+        seq = "".join(w for w in flank if w not in MARKERS)
+        for a in range(len(seq)):
+            for b in range(a + 1, len(seq) + 1):
+                if seq[a:b] in real and seq[a:b] not in skip:
+                    skip.add(seq[a:b])
+                    out.append((real[words[i]], real[seq[a:b]]))
+    return out
+
+
+def _brute_inword(word, lex):
+    real = _real_words(lex)
+    k = len(word)
+    if word in MARKERS:
+        return []
+    return [
+        (real[word[a:b]], real[word[c:d]])
+        for a in range(k) for b in range(a + 1, k + 1)
+        for c in range(b, k) for d in range(c + 1, k + 1)
+        if word[a:b] in real and word[c:d] in real
+    ]
+
+
+# words over a small alphabet that can spell the end marker
+_WORDS = st.lists(st.sampled_from(["a", "b", "ab", EOS]), min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.lists(_WORDS, min_size=1, max_size=6), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+def test_enumerations_equal_brute_force(sentences, window):
+    lex = Lexicon.from_sentences(sentences)
+    for sent in sentences:
+        words = add_boundary_markers(sent)
+        for i, word in enumerate(words):
+            if word in MARKERS:
+                continue
+            assert context_negatives(words, i, window, lex) == _brute_context(words, i, window, lex)
+            assert inword_negatives(word, lex) == _brute_inword(word, lex)
 
 
 def test_noise_uniform_excludes_target():

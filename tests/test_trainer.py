@@ -15,6 +15,7 @@ from embseg.sampler import (
     TrainingSample,
     build_occurrence_batch,
 )
+from embseg import trainer
 from embseg.synth import corrupt, default_language, generate_corpus
 from embseg.trainer import (
     TrainerConfig,
@@ -231,6 +232,47 @@ def test_sample_sink_sees_every_sample():
     assert all(isinstance(s, TrainingSample) for s in seen)
 
 
+def test_train_step_calls_between_samples_leave_train_undisturbed():
+    # train_step runs train's own step with cells of its own; a call on
+    # another table, of another width, between two samples changes nothing
+    sentences, lex = _toy_corpus()
+    config = TrainerConfig(dim=16, seed=5, epsilon=1.0)
+    other = np.random.default_rng(0).normal(size=(3, 7))
+    calls = 0
+
+    def disturb(sample):
+        nonlocal calls
+        calls += 1
+        train_step(TrainingSample(calls % 3, 2, NEGATIVE, CTX_NEG, 2.5), other, 0.7)
+
+    disturbed = train(sentences, lex, config, sample_sink=disturb)
+    assert calls > 0
+    assert disturbed.tobytes() == train(sentences, lex, config).tobytes()
+
+
+def test_train_step_inside_a_step_leaves_train_undisturbed(monkeypatch):
+    # train's step calls _sigmoid after writing three of its four cells:
+    # a train_step run from there (as another thread could) must not
+    # write those cells
+    sentences, lex = _toy_corpus()
+    config = TrainerConfig(dim=16, seed=5, epsilon=1.0)
+    expected = train(sentences, lex, config).tobytes()
+    other = np.random.default_rng(0).normal(size=(3, 16))
+    sigmoid = trainer._sigmoid
+    nested = 0
+
+    def interrupting(x):
+        nonlocal nested
+        if nested == 0:
+            nested += 1
+            train_step(TrainingSample(0, 2, NEGATIVE, CTX_NEG, 2.5), other, 0.7)
+            nested -= 1
+        return sigmoid(x)
+
+    monkeypatch.setattr(trainer, "_sigmoid", interrupting)
+    assert train(sentences, lex, config).tobytes() == expected
+
+
 def test_train_rejects_tokens_missing_from_lexicon():
     sentences, lex = _toy_corpus()
     with pytest.raises(KeyError):
@@ -291,6 +333,12 @@ def test_load_embeddings_errors_name_file_and_line(tmp_path, text, line):
         {"window": 0},
         {"epochs": 0},
         {"n_noise": -1},
+        {"epsilon": math.nan},
+        {"epsilon": math.inf},
+        {"mu": math.nan},
+        {"mu": math.inf},
+        {"eta": math.nan},
+        {"eta": math.inf},
     ],
 )
 def test_trainer_config_validation(kwargs):
