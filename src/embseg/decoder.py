@@ -9,9 +9,10 @@ predecessors; the begin marker contributes nothing, the end marker is
 scored like a word.  A hypothesis's rank is computed once, when it
 flushes a word, and carried unchanged while its buffer grows.  Each
 search first indexes the fragment's dictionary lattice (the id of every
-dictionary word fragment[s:e]), keeps each buffer as a start offset and
-memoises word scores, so its inner loop builds no strings and looks up
-no text.  beam_search takes the beam size, word-length bound and window
+real word fragment[s:e], from `Lexicon.spans`; a buffer never outgrows
+the word-length bound, so no longer word is flushed), keeps each buffer
+as a start offset and memoises word scores, so its inner loop builds no
+strings and looks up no text.  beam_search takes the beam size, word-length bound and window
 from one frozen BeamParams and returns (words, score), or None when the
 beam dies.
 
@@ -20,8 +21,8 @@ word-length bound, so every input eventually gets some segmentation (its
 baseline tokens, or single characters, in the worst case).  Each round
 adds _BEAM_STEP beam slots and _LEN_STEP to the bound, and the decoder
 gives up after 4 failed rounds whose bound covers the whole fragment or
-the longest dictionary word: past that word the lattice no longer
-changes, only the beam widens.
+the longest dictionary word: past that word a larger bound admits no
+new word, only the beam widens.
 After the first failure one pass over the fragment's dictionary lattice
 finds the smallest word-length bound at which any tiling exists.  Rounds
 below that bound cannot succeed, so they advance the schedule without
@@ -114,21 +115,14 @@ class _ScoreMemo(dict):
         return logp
 
 
-def _word_ids(fragment: str, lexicon: Lexicon, max_len: int) -> list[dict[int, int]]:
+def _word_ids(fragment: str, lexicon: Lexicon) -> list[dict[int, int]]:
     """The fragment's dictionary lattice: entry e maps each start s to the
-    id of the word fragment[s:e], for words of at most max_len characters,
-    in ascending s.  Each start extends only while the text is a prefix
-    of some word."""
-    get = lexicon.prefixes.get
-    n = len(fragment)
-    ends: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for s in range(n):
-        for e in range(s + 1, min(n, s + max_len) + 1):
-            wid = get(fragment[s:e])
-            if wid is None:
-                break
-            if wid >= 0:
-                ends[e][s] = wid
+    id of the real word fragment[s:e], in ascending s, from
+    `Lexicon.spans`.  It holds words of every length; a search never
+    flushes one longer than its word-length bound."""
+    ends: list[dict[int, int]] = [{} for _ in range(len(fragment) + 1)]
+    for start, end, wid in lexicon.spans(fragment):
+        ends[end][start] = wid
     return ends
 
 
@@ -160,7 +154,7 @@ def _finals(
     bos = lexicon.id_of(BOS)
     eos = lexicon.id_of(EOS)
     n = len(fragment)
-    ends = _word_ids(fragment, lexicon, max_word_len)
+    ends = _word_ids(fragment, lexicon)
     memo = _ScoreMemo(cache)
     beam = [((0, 1, (), (bos,)), 0, 0.0, (bos,))]
     for p in range(n):
@@ -231,7 +225,7 @@ def _min_tiling_len(fragment: str, lexicon: Lexicon) -> int | None:
     """
     n = len(fragment)
     never = n + 1
-    ends = _word_ids(fragment, lexicon, n)
+    ends = _word_ids(fragment, lexicon)
     need = [0]
     for e in range(1, n + 1):
         need.append(min((max(need[s], e - s) for s in ends[e]), default=never))
@@ -244,7 +238,7 @@ def _decode_with_growth(
     cache: SimilarityCache,
     params: BeamParams,
 ) -> list[str] | None:
-    # past the longest word the lattice no longer changes, only the beam widens
+    # past the longest word a larger bound admits no new word, only the beam widens
     cover = min(len(fragment), lexicon.longest)
     covered_failures = 0
     need = 0  # beam_search fails below this word-length bound; found on the first failure

@@ -60,10 +60,16 @@ class Lexicon:
 
         The markers are not real words, so no key maps to a marker's id;
         marker text spelled inside a real word is a prefix like any other.
-        A string that is not a key starts no word, so an enumeration of
-        dictionary substrings stops extending at it.  Built on first use,
-        so loading a dictionary does not pay for it.
+        A string that is not a key starts no word, so `spans` stops
+        extending at it.  Built on first use, so loading a dictionary does
+        not pay for it.
         """
+        return MappingProxyType(self._prefix_ids)
+
+    @cached_property
+    def _prefix_ids(self) -> dict[str, int]:
+        # the table behind `prefixes`; spans reads it directly, since a
+        # lookup through the read-only view costs about twice as much
         table: dict[str, int] = {}
         for wid, word in enumerate(self._words):
             if word in MARKERS:
@@ -71,7 +77,27 @@ class Lexicon:
             table[word] = wid
             for k in range(1, len(word)):
                 table.setdefault(word[:k], -1)
-        return MappingProxyType(table)
+        return table
+
+    def spans(self, text: str) -> list[tuple[int, int, int]]:
+        """(start, end, id) of every real word spelled by text[start:end],
+        ordered by start and then by end.
+
+        Each start extends only while the text is a prefix of some real
+        word.  A boundary marker is never returned, even where the text
+        spells one.
+        """
+        get = self._prefix_ids.get
+        n = len(text)
+        out: list[tuple[int, int, int]] = []
+        for start in range(n):
+            for end in range(start + 1, n + 1):
+                wid = get(text[start:end])
+                if wid is None:  # no real word starts with text[start:end]
+                    break
+                if wid >= 0:
+                    out.append((start, end, wid))
+        return out
 
     def __len__(self) -> int:
         return len(self._words)
@@ -130,9 +156,10 @@ class SubsampleTable:
     A word survives target selection with probability
     min(1, sqrt(epsilon / f(w))).  A multi-character word is never
     discarded when its own keep probability falls below mu/N times the
-    summed keep probabilities of its in-dictionary proper substrings,
-    N being the number of distinct such substrings.  Marker tokens are
-    atomic symbols and never receive the override.
+    summed keep probabilities of the distinct real words spelled by its
+    proper substrings (`Lexicon.spans`), N being their number.  Marker
+    tokens are atomic symbols: they never receive the override and never
+    count as a word's part, even where a word spells one.
     """
 
     def __init__(self, lexicon: Lexicon, epsilon: float = 1e-5, mu: float = 0.5):
@@ -160,16 +187,12 @@ class SubsampleTable:
         return bool(self.keep_override[self.lexicon.id_of(word)])
 
     def _multichar_keep(self, word: str, wid: int) -> bool:
-        if len(word) < 2:
+        # distinct ids of the proper-substring spans, in span order, so the
+        # sum below is the same in every process
+        parts = dict.fromkeys(
+            part for start, end, part in self.lexicon.spans(word) if end - start < len(word)
+        )
+        if not parts:
             return False
-        # contiguous proper substrings, deduplicated as strings
-        subs = {
-            word[a:b]
-            for a in range(len(word))
-            for b in range(a + 1, len(word) + 1)
-        } - {word}
-        ids = [self.lexicon.id_of(s) for s in subs if s in self.lexicon]
-        if not ids:
-            return False
-        threshold = self.mu / len(ids) * float(self.p_sub[ids].sum())
+        threshold = self.mu / len(parts) * float(self.p_sub[list(parts)].sum())
         return float(self.p_sub[wid]) < threshold

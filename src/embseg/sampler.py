@@ -10,8 +10,7 @@ For one sampled target occurrence the batch holds
 Negatives share one class weight computed from the batch's class counts.
 The boundary markers are tokens, not text: no negative pairs a substring
 with a marker, even where a word spells the marker's characters.  Both
-substring enumerations walk each start offset through `Lexicon.prefixes`
-and stop at the first substring that no real word starts with.
+substring channels read the real words a text spells from `Lexicon.spans`.
 """
 from __future__ import annotations
 
@@ -83,23 +82,15 @@ def context_negatives(words: list[str], i: int, window: int, lexicon: Lexicon) -
     """
     lo = max(0, i - window)
     hi = min(len(words), i + window + 1)
-    skip = {words[j] for j in range(lo, hi) if j != i}  # context words, then each word emitted
+    skip = {lexicon.id_of(words[j]) for j in range(lo, hi) if j != i}  # context words, then each word emitted
     left = "".join(w for w in words[lo:i] if w not in MARKERS)
     right = "".join(w for w in words[i + 1:hi] if w not in MARKERS)
     target_id = lexicon.id_of(words[i])
-    get = lexicon.prefixes.get
     out: list[tuple[int, int]] = []
     for seq in (left, right):
-        n = len(seq)
-        for a in range(n):
-            for b in range(a + 1, n + 1):
-                sub = seq[a:b]
-                wid = get(sub)
-                if wid is None:  # no real word starts with sub
-                    break
-                if wid < 0 or sub in skip:
-                    continue
-                skip.add(sub)
+        for _, _, wid in lexicon.spans(seq):
+            if wid not in skip:
+                skip.add(wid)
                 out.append((target_id, wid))
     return out
 
@@ -113,24 +104,8 @@ def inword_negatives(word: str, lexicon: Lexicon) -> list[tuple[int, int]]:
     """
     if len(word) < 2 or word in MARKERS:
         return []
-    k = len(word)
-    get = lexicon.prefixes.get
-    out: list[tuple[int, int]] = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            left_id = get(word[a:b])
-            if left_id is None:
-                break
-            if left_id < 0:
-                continue
-            for c in range(b, k):
-                for d in range(c + 1, k + 1):
-                    right_id = get(word[c:d])
-                    if right_id is None:
-                        break
-                    if right_id >= 0:
-                        out.append((left_id, right_id))
-    return out
+    spans = lexicon.spans(word)
+    return [(left, right) for _, end, left in spans for start, _, right in spans if start >= end]
 
 
 def noise_negatives(target: int, n: int, rng: np.random.Generator, vocab_size: int) -> list[tuple[int, int]]:

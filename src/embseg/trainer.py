@@ -62,6 +62,8 @@ class TrainerConfig:
             raise ValueError("dim, window, and epochs must be >= 1")
         if self.n_noise < 0:
             raise ValueError("n_noise must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_embeddings(vocab_size: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -653,6 +653,17 @@ def test_non_finite_hyperparameter_fails_before_any_output(workdir, tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+def test_negative_seed_fails_before_the_corpus_is_read(workdir, tmp_path, monkeypatch):
+    # accepted, numpy's default_rng raised inside train, after the corpus
+    # was read, with a message that named no flag
+    monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))
+    monkeypatch.setattr(cli, "train", _refuse("trained"))
+    rc, out, err = _run([*_train_argv(workdir, tmp_path), "--seed", "-1"])
+    assert (rc, out) == (1, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_rejects_cache_with_no_cache_before_any_output(workdir, tmp_path, monkeypatch):
     # accepted, the pair would train fully and never write the --cache it names
     monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))
@@ -733,6 +744,24 @@ def test_python_dash_m_reports_a_bad_window(trained, tmp_path):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: window must be >= 1, got 0\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_is_byte_identical_across_hash_seeds(workdir, tmp_path):
+    # string hashing is salted per process; no artifact may depend on it
+    src = Path(cli.__file__).resolve().parent.parent
+    artifacts = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        argv = _train_argv(workdir, out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "embseg", *argv],
+            cwd=out, env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append([(out / name).read_bytes() for name in ("dict.tsv", "emb.txt", "sim.bin")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_dictionary_without_boundary_markers_is_named_before_decoding(tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ from embseg.decoder import (
     _decode_with_growth,
     _finals,
     _min_tiling_len,
-    _word_ids,
     beam_search,
     recompute_mean_logp,
     segment_sentence,
@@ -383,28 +382,6 @@ def test_dead_buffers_match_reference(fragment, max_word_len):
         params = BeamParams(beam_size=beam_size, max_word_len=max_word_len)
         assert _finals(fragment, lex, cache, params) == want_finals
         assert beam_search(fragment, lex, cache, params) == want_result
-
-
-def _brute_lattice(fragment, lex, max_len):
-    real = {w: i for i, w in enumerate(lex.words) if w not in (BOS, EOS)}
-    return [
-        [(s, real[fragment[s:e]]) for s in range(max(0, e - max_len), e) if fragment[s:e] in real]
-        for e in range(len(fragment) + 1)
-    ]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.sets(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1, max_size=8),
-    st.text(alphabet="abcx", max_size=12),
-    st.integers(1, 7),
-)
-def test_word_ids_equals_brute_force_lattice(words, fragment, max_len):
-    # "x" is never a word, and most prefixes of the drawn words are not
-    # words either: each start stops extending at the first non-prefix
-    lex = _make_lexicon(sorted(words))
-    got = _word_ids(fragment, lex, max_len)
-    assert [list(entry.items()) for entry in got] == _brute_lattice(fragment, lex, max_len)
 
 
 def test_min_tiling_len():

@@ -2,8 +2,9 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from embseg.corpus import BOS, EOS
+from embseg.corpus import BOS, EOS, MARKERS
 from embseg.lexicon import Lexicon, SubsampleTable
 
 
@@ -49,8 +50,32 @@ def test_load_leaves_prefixes_unbuilt(tmp_path):
     Lexicon.from_sentences([["ab", "c"]]).save(path)
     lex = Lexicon.load(path)
     assert "prefixes" not in vars(lex)  # built on first use, by the sampler or decoder
+    assert "_prefix_ids" not in vars(lex)
     assert lex.prefixes["a"] == -1
     assert "prefixes" in vars(lex)
+
+
+# pieces that can spell a boundary marker inside a word or a text, and
+# words longer than the decoder's default five-character bound
+_WORD = st.lists(st.sampled_from(["a", "b", "c", EOS]), min_size=1, max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sets(_WORD.filter(lambda w: w not in MARKERS), min_size=1, max_size=8),
+    st.lists(st.sampled_from(["a", "b", "c", "x", BOS, EOS]), max_size=14).map("".join),
+)
+def test_spans_equal_brute_force(words, text):
+    # "x" is never a word, and most prefixes of the drawn words are not
+    # words either: each start stops extending at the first non-prefix
+    lex = Lexicon.from_sentences([sorted(words)])
+    real = {w: i for i, w in enumerate(lex.words) if w not in MARKERS}
+    n = len(text)
+    assert lex.spans(text) == [
+        (s, e, real[text[s:e]]) for s in range(n) for e in range(s + 1, n + 1) if text[s:e] in real
+    ]
+    markers = {lex.id_of(BOS), lex.id_of(EOS)}
+    assert not markers & {wid for _, _, wid in lex.spans(text + BOS + EOS)}
 
 
 def test_unknown_word_message():
@@ -155,3 +180,9 @@ def test_markers_are_atomic():
     assert table.multichar_keep("ab") is True  # override fires for a real word
     assert table.multichar_keep(BOS) is False  # markers never qualify
 
+
+def test_multichar_keep_never_counts_a_marker_as_a_part():
+    # counted as a part, the end marker's keep probability raised the
+    # threshold above q⟨EOS⟩'s own; its one real part is q
+    lex = Lexicon((BOS, EOS, "q⟨EOS⟩", "q", "filler"), (1000, 1000, 40, 5, 97955))
+    assert SubsampleTable(lex).multichar_keep("q⟨EOS⟩") is True
