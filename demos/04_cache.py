@@ -6,7 +6,9 @@ decoding.  The decoder also compares lattice alternatives that never
 co-occurred; those lookups fall through to a direct computation that
 rounds identically, keeping cached and uncached decoding bit-for-bit
 interchangeable.  The table saves time only where the decoder's pairs
-co-occur in training.
+co-occur in training.  In memory it is one row per word id, mapping each
+larger id to its cosine; a pair costs a dict slot and a float, since the
+ids themselves are shared int objects.
 """
 import os
 import tempfile
@@ -35,7 +37,7 @@ def main() -> None:
     emb = train(base, lex, TrainerConfig(dim=64, seed=1))
 
     cache = build_cache(base, lex, emb)
-    print(f"cache holds {len(cache.table)} of {len(lex) * (len(lex) - 1) // 2} "
+    print(f"cache holds {cache.entries} of {len(lex) * (len(lex) - 1) // 2} "
           f"possible pairs")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -143,7 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         if cache_tmp:
             cache = build_cache(sentences, lexicon, emb, window=args.window)
             save_cache(cache_tmp, cache)
-            cache_entries = len(cache.table)
+            cache_entries = cache.entries
     summary = {
         "vocab_size": len(lexicon),
         "total_tokens": lexicon.total_tokens,

@@ -12,16 +12,22 @@ is a pure accelerator.  The decoder scores a word with one
 `SimilarityCache.mean_similarity` call over its predecessors, which
 counts and rounds each pair exactly as `similarity` does.
 
-In memory the table is a dict keyed by the packed int a * V + b of the
-unordered id pair a < b, V the vocabulary size; `SimilarityCache.pairs`
-gives it back keyed by (a, b).  Embeddings must be finite and nonzero.
+In memory the table is one row per word id: row a maps each larger id b
+it pairs with to the cosine, in ascending b.  The keys are shared int
+objects, one per vocabulary id, so a pair costs a dict slot and a float
+and no int of its own; rows that hold no pair share one empty dict.
+`SimilarityCache.pairs` gives the table back keyed by (a, b).
+Embeddings must be finite and nonzero.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from array import array
+from bisect import bisect_right
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,14 +50,16 @@ _MIN_NORM = 1e-12
 _ENTRY = np.dtype([("a", "<u4"), ("b", "<u4"), ("cos", "<f4")])
 _CHUNK = 128  # pairs per cosine batch: small, so the gathered rows do not raise peak memory
 _BLOCK = 1 << 14  # token ids per block of the pair walk: bounds its arrays on a long corpus
+_GROUP = 1 << 14  # pairs converted to Python objects at a time while filling rows
+_NO_PAIRS: dict[int, float] = {}  # the row of every id without a pair; never mutated
 
 
 class SimilarityCache:
     """Cosine scorer over word ids with an optional precomputed pair table.
 
-    `pairs` maps id pairs (a, b), a < b, to cosines; `table` holds them
-    under the packed key a * V + b.  hits and misses count every query, so
-    they always sum to the total number of lookups.
+    `pairs` maps id pairs (a, b), a < b, to finite cosines; `near[a]`
+    holds them as {b: cosine} in ascending b.  hits and misses count every
+    query, so they always sum to the total number of lookups.
 
     Not for concurrent use from threads: the counters and the rounding
     cell are shared, unlocked state.
@@ -68,11 +76,17 @@ class SimilarityCache:
         # per-call indexing and dispatch
         self._rows = list(self._unit)
         self._vocab = v = int(embeddings.shape[0])
-        self.table: dict[int, float] = {}
-        for (a, b), val in (pairs or {}).items():
-            if not 0 <= a < b < v:
-                raise ValueError(f"pair ({a}, {b}) is not ids a < b < {v}")
-            self.table[a * v + b] = val
+        self.near: list[dict[int, float]] = [_NO_PAIRS] * v
+        if pairs:
+            ids = list(range(v))
+            for (a, b), val in sorted(pairs.items()):
+                if not 0 <= a < b < v:
+                    raise ValueError(f"pair ({a}, {b}) is not ids a < b < {v}")
+                if not math.isfinite(val):
+                    raise ValueError(f"pair ({a}, {b}, {val!r}): non-finite cosine")
+                if self.near[a] is _NO_PAIRS:
+                    self.near[a] = {}
+                self.near[a][ids[b]] = val
         self.hits = 0
         self.misses = 0
         # a computed cosine is rounded to single precision by a store into
@@ -84,18 +98,21 @@ class SimilarityCache:
     def vocab_size(self) -> int:
         return self._vocab
 
+    @property
+    def entries(self) -> int:
+        """Number of cached pairs."""
+        return sum(map(len, self.near))
+
     def pairs(self) -> dict[tuple[int, int], float]:
-        """The table keyed by id pairs (a, b), a < b, in table order."""
-        v = self._vocab
-        return {divmod(key, v): val for key, val in self.table.items()}
+        """The table keyed by id pairs (a, b), a < b, in ascending (a, b)."""
+        return {(a, b): val for a, row in enumerate(self.near) for b, val in row.items()}
 
     def similarity(self, a: int, b: int) -> float:
         """Cosine of two word ids, symmetric in its arguments."""
         if a == b:
             self.hits += 1
             return 1.0
-        v = self._vocab
-        val = self.table.get(a * v + b if a < b else b * v + a)
+        val = self.near[a].get(b) if a < b else self.near[b].get(a)
         if val is not None:
             self.hits += 1
             return val
@@ -109,8 +126,8 @@ class SimilarityCache:
         to right from 0.0, with the same values and the same hit and miss
         counts as one similarity call per element; in one call, because the
         decoder scores every candidate word this way."""
-        table = self.table
-        v = self._vocab
+        near = self.near
+        row = near[a]
         rows = self._rows
         cell = self._f32
         total = 0.0
@@ -119,7 +136,7 @@ class SimilarityCache:
             if a == b:
                 total += 1.0
                 continue
-            val = table.get(a * v + b if a < b else b * v + a)
+            val = row.get(b) if a < b else near[b].get(a)
             if val is None:
                 misses += 1
                 cell[0] = rows[a].dot(rows[b])
@@ -145,6 +162,12 @@ def build_cache(
     co-occur within `window` positions.  Boundary markers participate like
     words.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    if embeddings.shape[0] != len(lexicon):
+        raise ValueError(
+            f"embedding table has {embeddings.shape[0]} rows, lexicon has {len(lexicon)} words"
+        )
     cache = SimilarityCache(embeddings)
     v = cache.vocab_size
     # `window` separators after each sentence: no pair spans a sentence
@@ -162,15 +185,44 @@ def build_cache(
     keys = _sorted_unique(np.concatenate(blocks))
     del blocks
     a, b = np.divmod(keys, v)
+    del keys
     # A stacked vector-vector matmul runs each pair through the same BLAS
     # dot as the miss path, so a hit is bit-identical to a miss.
     unit = cache._unit
-    cos = np.empty(len(keys), dtype=np.float32)
-    for lo in range(0, len(keys), _CHUNK):
+    cos = np.empty(len(a), dtype=np.float32)
+    for lo in range(0, len(a), _CHUNK):
         hi = lo + _CHUNK
         cos[lo:hi] = np.matmul(unit[a[lo:hi], None, :], unit[b[lo:hi], :, None]).reshape(-1)
-    cache.table = dict(zip(keys.tolist(), cos.tolist()))
+    bounds = _row_bounds(a, v)
+    del a
+    cache.near = _near_rows(bounds, b, cos)
     return cache
+
+
+def _row_bounds(a: np.ndarray, v: int) -> list[int]:
+    """Row r of the ascending ids `a` is a[bounds[r]:bounds[r + 1]]."""
+    return np.searchsorted(a, np.arange(v + 1, dtype=a.dtype)).tolist()
+
+
+def _near_rows(bounds: list[int], b: np.ndarray, cos: np.ndarray) -> list[dict[int, float]]:
+    """The per-word rows: row a maps b[i] to cos[i] for i in
+    bounds[a]:bounds[a + 1].  Whole rows are converted to Python objects
+    in groups of at most _GROUP pairs (or one longer row): no full-length
+    Python list is built, and a small table does not pay numpy calls per
+    row.  The keys are shared: one int object per vocabulary id."""
+    v = len(bounds) - 1
+    ids = np.arange(v).astype(object)
+    near = [_NO_PAIRS] * v
+    r = 0
+    while r < v:
+        lo = bounds[r]
+        s = max(bisect_right(bounds, lo + _GROUP) - 1, r + 1)  # rows r..s-1
+        pairs = zip(ids[b[lo:bounds[s]]].tolist(), cos[lo:bounds[s]].tolist())
+        for q in range(r, s):
+            if bounds[q] < bounds[q + 1]:
+                near[q] = dict(islice(pairs, bounds[q + 1] - bounds[q]))
+        r = s
+    return near
 
 
 def _window_keys(ids: list[int], window: int, v: int) -> np.ndarray:
@@ -204,14 +256,15 @@ def _unit_digest(unit: np.ndarray) -> bytes:
 def save_cache(path: str, cache: SimilarityCache) -> None:
     """Binary layout: magic 'WCSC', version byte, vocab size (u32 LE), entry
     count (u64 LE), blake2b digest of the unit-row table (32 bytes), then
-    (id_a u32, id_b u32, cos f32) triples with id_a < id_b, sorted."""
-    table = cache.table
-    n = len(table)
-    keys = np.fromiter(table, dtype=np.int64, count=n)
-    order = np.argsort(keys)
+    (id_a u32, id_b u32, cos f32) triples with id_a < id_b, sorted.  The
+    rows are in that order already, so they are written as they stand."""
+    near = cache.near
+    sizes = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+    n = int(sizes.sum())
     rec = np.empty(n, dtype=_ENTRY)
-    rec["a"], rec["b"] = np.divmod(keys[order], cache.vocab_size)
-    rec["cos"] = np.fromiter(table.values(), dtype=np.float32, count=n)[order]
+    rec["a"] = np.repeat(np.arange(len(near)), sizes)
+    rec["b"] = np.fromiter(chain.from_iterable(near), dtype=np.uint32, count=n)
+    rec["cos"] = np.fromiter(chain.from_iterable(map(dict.values, near)), dtype=np.float32, count=n)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
@@ -262,12 +315,13 @@ def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
             i = int(np.flatnonzero(bad)[0])
             a, b, c = rec[i].tolist()
             raise ValueError(f"{path}: record {i} ({a}, {b}, {c!r}): {what}")
-    table = dict(zip(keys.tolist(), rec["cos"].tolist()))
-    del rec, keys
+    del keys
+    near = _near_rows(_row_bounds(rec["a"], vocab_size), rec["b"], rec["cos"])
+    del rec
     # the unit rows come after the table is built and the records freed,
     # so they do not add to the load's peak memory
     cache = SimilarityCache(embeddings)
-    cache.table = table
+    cache.near = near
     if digest != _unit_digest(cache._unit):
         raise ValueError(f"{path}: cache built from different embeddings; re-run train")
     return cache

@@ -292,7 +292,7 @@ def test_criterion_08_cache_transparency(synth_setup, tmp_path):
     loaded = load_cache(path, emb)
 
     bare = SimilarityCache(emb)
-    assert loaded.table
+    assert loaded.pairs()
     for (a, b), val in loaded.pairs().items():
         assert abs(val - bare.similarity(a, b)) <= 1e-6
 

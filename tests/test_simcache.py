@@ -1,6 +1,7 @@
 """Similarity cache: build scope, file format, transparency."""
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from embseg.simcache import (
     _ENTRY,
     _HEADER,
     SimilarityCache,
+    _unit_digest,
     build_cache,
     load_cache,
     save_cache,
@@ -34,7 +36,7 @@ def test_build_cache_window_pairs_exact():
         tuple(sorted((x, y))) for x in ids for y in ids if x != y
     }
     assert set(cache.pairs()) == expected
-    assert len(cache.table) == 6
+    assert cache.entries == 6
 
 
 def test_build_cache_window_bound():
@@ -50,7 +52,7 @@ def test_cached_values_equal_miss_path_bitwise():
     lex, emb = _setup(sent)
     cache = build_cache(sent, lex, emb)
     bare = SimilarityCache(emb)
-    assert cache.table
+    assert cache.pairs()
     for (a, b), val in cache.pairs().items():
         assert bare.similarity(a, b) == val
         assert abs(val) <= 1.0000001
@@ -209,7 +211,7 @@ def test_cache_file_rejects_other_embeddings(tmp_path):
     emb7 = init_embeddings(len(lex), 12, np.random.default_rng(7))
     path = tmp_path / "sim.bin"
     save_cache(str(path), build_cache(sent, lex, emb1))
-    assert load_cache(str(path), emb1).table
+    assert load_cache(str(path), emb1).pairs()
     _rejected(path, emb7, "different embeddings")
 
 
@@ -289,6 +291,38 @@ def test_constructor_rejects_pairs_that_are_not_ordered_ids():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_constructor_rejects_non_finite_cosine(value):
+    # load_cache refuses such a record, so a table must not hold one
+    _, emb = _setup([["a", "b"]])
+    with pytest.raises(ValueError, match=r"\(0, 1, .*\): non-finite cosine"):
+        SimilarityCache(emb, {(0, 2): 0.25, (0, 1): value})
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_build_cache_rejects_window_below_one(window):
+    sent = [["a", "b", "c"]]
+    lex, emb = _setup(sent)
+    with pytest.raises(ValueError, match="window"):
+        build_cache(sent, lex, emb, window=window)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_build_cache_rejects_embeddings_not_one_row_per_word(extra):
+    sent = [["a", "b", "c"]]
+    lex, _ = _setup(sent)
+    emb = init_embeddings(len(lex) + extra, 12, np.random.default_rng(0))
+    read = []
+
+    def sentences():
+        read.append(True)
+        yield from sent
+
+    with pytest.raises(ValueError, match=rf"{len(lex) + extra} rows, lexicon has {len(lex)} words"):
+        build_cache(sentences(), lex, emb)
+    assert read == []  # rejected before the corpus is read
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_vector_rejected(value):
     with pytest.raises(ValueError, match="non-finite"):
         SimilarityCache(np.array([[value, 1.0], [1.0, 0.0]]))
@@ -336,6 +370,7 @@ def _assert_matches_reference(sent, window, tmp_path):
     path = tmp_path / f"sim{window}.bin"
     save_cache(str(path), cache)
     assert path.read_bytes() == _reference_file(pairs, emb)
+    assert list(load_cache(str(path), emb).pairs().items()) == list(pairs.items())
 
 
 @pytest.mark.parametrize("window", range(1, 8))
@@ -366,6 +401,15 @@ def test_build_matches_reference_walk_across_blocks(window, block, tmp_path, mon
     _assert_matches_reference(sent, window, tmp_path)
 
 
+@pytest.mark.parametrize("group", [1, 2, 7])
+def test_build_and_load_fill_rows_across_groups(group, tmp_path, monkeypatch):
+    # the default group needs a table of more than 16k pairs; small groups
+    # cut between rows and hold rows longer than a group
+    monkeypatch.setattr(simcache, "_GROUP", group)
+    sent = _random_corpus(np.random.default_rng(group), 60, 40, 9)
+    _assert_matches_reference(sent, 4, tmp_path)
+
+
 def test_build_matches_reference_walk_on_random_corpora(tmp_path):
     rng = np.random.default_rng(7)
     for trial in range(20):
@@ -387,16 +431,104 @@ def test_packed_keys_do_not_wrap_past_32_bits(tmp_path):
     pairs = cache.pairs()
     assert list(pairs) == _reference_pairs(sent, lex, 4)
     assert (v - 2, v - 1) in pairs
-    assert max(cache.table) == (v - 2) * v + (v - 1)
+    assert max(pairs) == (v - 2, v - 1)
 
     path = tmp_path / "big.bin"
     save_cache(str(path), cache)
     assert path.read_bytes() == _reference_file(pairs, emb)
     back = load_cache(str(path), emb)
-    assert back.table == cache.table
-    assert back.pairs() == pairs
+    assert list(back.pairs().items()) == list(pairs.items())
 
     bare = SimilarityCache(emb)
     for a, b in pairs:
         assert back.similarity(b, a) == back.similarity(a, b) == bare.similarity(a, b)
     assert back.misses == 0
+
+
+# -- the per-word rows against a dict keyed by (min, max) -------------------
+
+@st.composite
+def _tables(draw):
+    """Embeddings, a pair table in an arbitrary insertion order (ids with
+    no pair included), the same table in a second order, and lookups."""
+    v = draw(st.integers(2, 12))
+    emb = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(v, 3))
+    ids = st.integers(0, v - 1)
+    keys = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] < p[1]), unique=True))
+    cos = st.floats(-1.0, 1.0, width=32)
+    items = [(key, draw(cos)) for key in keys]
+    again = draw(st.permutations(items))
+    lookups = draw(st.lists(st.tuples(ids, st.lists(ids, min_size=1, max_size=5)), max_size=10))
+    return emb, items, again, lookups
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tables())
+def test_rows_equal_a_reference_dict(tmp_path_factory, case):
+    emb, items, again, lookups = case
+    ref = dict(items)
+    cache = SimilarityCache(emb, dict(items))
+    bare = SimilarityCache(emb)
+
+    def expected(a, b):
+        if a == b:
+            return 1.0, True
+        key = (min(a, b), max(a, b))
+        return (ref[key], True) if key in ref else (bare.similarity(a, b), False)
+
+    for a, others in lookups:
+        want = [expected(a, b) for b in others]
+        for b, (val, hit) in zip(others, want):
+            hits0, misses0 = cache.hits, cache.misses
+            assert repr(cache.similarity(a, b)) == repr(val)
+            assert (cache.hits - hits0, cache.misses - misses0) == (hit, not hit)
+        hits0, misses0 = cache.hits, cache.misses
+        total = 0.0
+        for val, _ in want:
+            total += val
+        assert repr(cache.mean_similarity(a, others)) == repr(total / len(others))
+        hits = sum(hit for _, hit in want)
+        assert (cache.hits - hits0, cache.misses - misses0) == (hits, len(others) - hits)
+
+    assert list(cache.pairs().items()) == sorted(ref.items())
+    assert cache.entries == len(ref)
+    path = tmp_path_factory.mktemp("rows") / "sim.bin"
+    save_cache(str(path), cache)
+    raw = path.read_bytes()
+    assert raw == _reference_file(ref, emb)
+    save_cache(str(path), SimilarityCache(emb, dict(again)))
+    assert path.read_bytes() == raw
+    assert list(load_cache(str(path), emb).pairs().items()) == sorted(ref.items())
+
+
+# Bytes per pair at the peak of load_cache.  The bound is set by the object
+# sizes of CPython 3.11, the tier-1 interpreter: a float is 24 bytes and a
+# dict slot 24 plus its index.  Rows of shared id keys peak near 78 bytes
+# a pair here; a dict keyed by packed ints, with a 32-byte int per pair and
+# full-length lists of keys and values alive at once, peaked near 172.
+LOAD_PEAK_BYTES_PER_PAIR = 110
+
+
+def test_load_cache_peak_memory_per_pair(tmp_path):
+    v, n = 2500, 100_000
+    rng = np.random.default_rng(5)
+    emb = rng.normal(size=(v, 4))
+    keys = rng.integers(v * v, size=3 * n)
+    a, b = np.divmod(keys, v)
+    keys = np.sort(rng.choice(np.unique(keys[a < b]), size=n, replace=False))
+    rec = np.empty(n, dtype=_ENTRY)
+    rec["a"], rec["b"] = np.divmod(keys, v)
+    rec["cos"] = rng.uniform(-1, 1, n)
+    del keys, a, b
+    path = tmp_path / "sim.bin"
+    digest = _unit_digest(SimilarityCache(emb)._unit)
+    path.write_bytes(b"WCSC" + bytes([2]) + _HEADER.pack(v, n, digest) + rec.tobytes())
+    del rec
+    tracemalloc.start()
+    try:
+        cache = load_cache(str(path), emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < LOAD_PEAK_BYTES_PER_PAIR, f"{peak / n:.1f} bytes per pair"
+    assert cache.entries == n
