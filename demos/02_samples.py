@@ -9,6 +9,7 @@ keeps the two sides balanced.
 import numpy as np
 
 from embseg import BOS, EOS, Lexicon, add_boundary_markers, build_occurrence_batch
+from embseg.sampler import POSITIVE
 
 SENTENCES = [
     ["今天", "天气", "很", "好"],
@@ -20,15 +21,16 @@ SENTENCES = [
 def main() -> None:
     lex = Lexicon.from_sentences(SENTENCES)
     rng = np.random.default_rng(0)
-    words = add_boundary_markers(SENTENCES[0])
-    ids = [lex.id_of(w) for w in words]
+    ids = [lex.id_of(w) for w in add_boundary_markers(SENTENCES[0])]
 
-    for i, word in enumerate(words):
-        batch = build_occurrence_batch(words, ids, i, lex, rng)
-        if batch is None or word in (BOS, EOS):
+    for i, wid in enumerate(ids):
+        batch = build_occurrence_batch(ids, i, lex, rng)
+        word = lex.word_of(wid)
+        if word in (BOS, EOS):
             continue
-        print(f"target {word!r}: {batch.n_pos} positives, {batch.n_neg} negatives")
-        for s in batch.samples:
+        n_pos = sum(s.label == POSITIVE for s in batch)
+        print(f"target {word!r}: {n_pos} positives, {len(batch) - n_pos} negatives")
+        for s in batch:
             pair = f"({lex.word_of(s.target)}, {lex.word_of(s.other)})"
             print(f"  {s.label:8s} {s.source:10s} {pair:24s} weight {s.weight:.3f}")
         print()

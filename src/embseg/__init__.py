@@ -21,7 +21,6 @@ from .decoder import BeamParams, Hypothesis, beam_search, segment_sentence
 from .evaluate import AlignmentError, EvalReport, WordImprovementRow, score, word_improvement_report, word_spans
 from .lexicon import Lexicon, SubsampleTable
 from .sampler import (
-    OccurrenceBatch,
     TrainingSample,
     build_occurrence_batch,
     class_weights,
@@ -73,7 +72,6 @@ __all__ = [
     "word_spans",
     "Lexicon",
     "SubsampleTable",
-    "OccurrenceBatch",
     "TrainingSample",
     "build_occurrence_batch",
     "class_weights",

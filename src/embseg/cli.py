@@ -28,13 +28,14 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--emb", required=True, help="output embedding text file")
     p.add_argument("--cache", help="output similarity cache file")
     p.add_argument("--no-cache", action="store_true", help="skip building the similarity cache")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=0.2)
-    p.add_argument("--neg", type=int, default=1, help="noise negatives per target occurrence")
-    p.add_argument("--epochs", type=int, default=1)
+    p.add_argument("--dim", type=int, default=TrainerConfig.dim)
+    p.add_argument("--window", type=int, default=TrainerConfig.window)
+    p.add_argument("--epsilon", type=float, default=TrainerConfig.epsilon)
+    p.add_argument("--mu", type=float, default=TrainerConfig.mu)
+    p.add_argument("--eta", type=float, default=TrainerConfig.eta)
+    p.add_argument("--neg", type=int, default=TrainerConfig.n_noise,
+                   help="noise negatives per target occurrence")
+    p.add_argument("--epochs", type=int, default=TrainerConfig.epochs)
     p.add_argument("--seed", type=int, default=None, help="unset: time-seeded, echoed in the summary")
     p.add_argument("--dump-samples", help="write every training sample to this TSV file")
     p.set_defaults(func=cmd_train)
@@ -48,9 +49,9 @@ def _add_segment(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--cache", help="similarity cache file to load; without it cosines are computed directly")
     p.add_argument("--baseline", help="baseline segmentation of the same lines (fallback tokens)")
     p.add_argument("--out", required=True)
-    p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--max-word-len", type=int, default=5)
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--beam", type=int, default=BeamParams.beam_size)
+    p.add_argument("--max-word-len", type=int, default=BeamParams.max_word_len)
+    p.add_argument("--window", type=int, default=BeamParams.window)
     p.set_defaults(func=cmd_segment)
 
 
@@ -106,6 +107,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("--cache and --no-cache contradict each other: pass one of them")
     if not args.no_cache and not args.cache:
         raise ValueError("train writes a cache file: pass --cache PATH or --no-cache")
+    outputs = {"--dict": args.dict, "--emb": args.emb, "--cache": args.cache,
+               "--dump-samples": args.dump_samples}
+    first: dict[str, str] = {}  # resolved path -> the first flag naming it
+    for flag, path in outputs.items():
+        if path:  # an empty path is rejected where its output is created
+            other = first.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise ValueError(f"{other} and {flag} name the same file: {path}")
     seed = args.seed if args.seed is not None else time.time_ns() % (2**31)
     config = TrainerConfig(
         epsilon=args.epsilon, mu=args.mu, n_noise=args.neg, dim=args.dim,
@@ -117,7 +126,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         # every output given is created before training and replaced only on success
         dict_tmp, emb_tmp, cache_tmp, dump_tmp = (
             None if path is None else stack.enter_context(_replaced_on_success(path))
-            for path in (args.dict, args.emb, args.cache, args.dump_samples)
+            for path in outputs.values()
         )
         dump = stack.enter_context(open(dump_tmp, "w", encoding="utf-8")) if dump_tmp else None
         sentences = list(read_segmented_corpus(args.corpus))

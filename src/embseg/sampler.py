@@ -14,7 +14,6 @@ substring channels read the real words a text spells from `Lexicon.spans`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "INWORD_NEG",
     "NOISE_NEG",
     "TrainingSample",
-    "OccurrenceBatch",
     "positives",
     "context_negatives",
     "inword_negatives",
@@ -49,18 +47,16 @@ NOISE_NEG = "noise_neg"
 
 
 class TrainingSample(NamedTuple):
+    """One weighted pair; its channel `source` decides its label."""
+
     target: int
     other: int
-    label: str
     source: str
     weight: float
 
-
-@dataclass(frozen=True)
-class OccurrenceBatch:
-    samples: tuple[TrainingSample, ...]
-    n_pos: int
-    n_neg: int
+    @property
+    def label(self) -> str:
+        return POSITIVE if self.source == CTX_POS else NEGATIVE
 
 
 def positives(sentence: list[int], i: int, window: int) -> list[tuple[int, int]]:
@@ -70,7 +66,7 @@ def positives(sentence: list[int], i: int, window: int) -> list[tuple[int, int]]
     return [(sentence[i], sentence[j]) for j in range(lo, hi) if j != i]
 
 
-def context_negatives(words: list[str], i: int, window: int, lexicon: Lexicon) -> list[tuple[int, int]]:
+def context_negatives(ids: list[int], i: int, window: int, lexicon: Lexicon) -> list[tuple[int, int]]:
     """Negative pairs from mis-readings of the flanking character streams.
 
     The characters of the left and right context words are concatenated
@@ -81,17 +77,17 @@ def context_negatives(words: list[str], i: int, window: int, lexicon: Lexicon) -
     flank first.
     """
     lo = max(0, i - window)
-    hi = min(len(words), i + window + 1)
-    skip = {lexicon.id_of(words[j]) for j in range(lo, hi) if j != i}  # context words, then each word emitted
-    left = "".join(w for w in words[lo:i] if w not in MARKERS)
-    right = "".join(w for w in words[i + 1:hi] if w not in MARKERS)
-    target_id = lexicon.id_of(words[i])
+    hi = min(len(ids), i + window + 1)
+    left, right = ids[lo:i], ids[i + 1:hi]
+    skip = set(left + right)  # context words, then each word emitted
+    target = ids[i]
     out: list[tuple[int, int]] = []
-    for seq in (left, right):
+    for flank in (left, right):
+        seq = "".join(w for w in map(lexicon.word_of, flank) if w not in MARKERS)
         for _, _, wid in lexicon.spans(seq):
             if wid not in skip:
                 skip.add(wid)
-                out.append((target_id, wid))
+                out.append((target, wid))
     return out
 
 
@@ -125,23 +121,22 @@ def noise_negatives(target: int, n: int, rng: np.random.Generator, vocab_size: i
     return out
 
 
-def class_weights(n_pos: int, n_neg: int, eta: float) -> tuple[float, float]:
-    """Positive weight 1.0; negative weight (n_pos/n_neg + eta)/(1 + eta).
+def class_weights(n_pos: int, n_neg: int, eta: float) -> float:
+    """The negative weight (n_pos/n_neg + eta)/(1 + eta); positives weigh 1.0.
 
-    The negative weight is meaningful only when n_neg > 0; 1.0 is returned
-    as a placeholder otherwise.  A batch without positives is invalid.
+    The weight is meaningful only when n_neg > 0; 1.0 is returned as a
+    placeholder otherwise.  A batch without positives is invalid.
     """
     if n_pos < 1:
         raise ValueError("a batch needs at least one positive sample")
     if eta < 0:
         raise ValueError("eta must be >= 0")
     if n_neg <= 0:
-        return 1.0, 1.0
-    return 1.0, (n_pos / n_neg + eta) / (1.0 + eta)
+        return 1.0
+    return (n_pos / n_neg + eta) / (1.0 + eta)
 
 
 def build_occurrence_batch(
-    words: list[str],
     ids: list[int],
     i: int,
     lexicon: Lexicon,
@@ -150,32 +145,29 @@ def build_occurrence_batch(
     window: int = 4,
     n_noise: int = 1,
     eta: float = 0.2,
-) -> OccurrenceBatch | None:
-    """All weighted samples for one sampled target occurrence.
+) -> tuple[TrainingSample, ...]:
+    """All weighted samples for one sampled target occurrence, positives
+    first.
 
     Negatives are deduplicated by (target, other) within the batch, first
-    generation wins (context, then in-word, then noise).  Returns None when
-    the occurrence yields no positive pair.  The negative weight comes from
-    this batch's class counts.
+    generation wins (context, then in-word, then noise).  The negative
+    weight comes from this batch's class counts, so an occurrence with no
+    context word is a ValueError.
     """
     pos = positives(ids, i, window)
-    if not pos:
-        return None
-    ctx = context_negatives(words, i, window, lexicon)
+    ctx = context_negatives(ids, i, window, lexicon)
     seen = set(ctx)  # context negatives are distinct already
     negs = [(t, o, CTX_NEG) for t, o in ctx]
     for src, pairs in (
-        (INWORD_NEG, inword_negatives(words[i], lexicon)),
+        (INWORD_NEG, inword_negatives(lexicon.word_of(ids[i]), lexicon)),
         (NOISE_NEG, noise_negatives(ids[i], n_noise, rng, len(lexicon))),
     ):
         for pair in pairs:
             if pair not in seen:
                 seen.add(pair)
                 negs.append((*pair, src))
-    n_pos, n_neg = len(pos), len(negs)
-    _, w_neg = class_weights(n_pos, n_neg, eta)
-    samples = tuple(
-        [TrainingSample(t, o, POSITIVE, CTX_POS, 1.0) for t, o in pos]
-        + [TrainingSample(t, o, NEGATIVE, src, w_neg) for t, o, src in negs]
+    w_neg = class_weights(len(pos), len(negs), eta)
+    return tuple(
+        [TrainingSample(t, o, CTX_POS, 1.0) for t, o in pos]
+        + [TrainingSample(t, o, src, w_neg) for t, o, src in negs]
     )
-    return OccurrenceBatch(samples, n_pos, n_neg)

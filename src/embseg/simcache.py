@@ -275,9 +275,9 @@ def save_cache(path: str, cache: SimilarityCache) -> None:
 def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
     """Read a cache file back.  It must have been built from `embeddings`:
     the vocabulary size and the digest of the unit-row table must match.
-    Every record must hold ids a < b < V and a finite cosine, the records
-    must be in strictly ascending (a, b) order, and no bytes may follow the
-    last record."""
+    Every record must hold ids a < b < V and a finite cosine in [-1, 1],
+    the records must be in strictly ascending (a, b) order, and no bytes
+    may follow the last record."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -308,6 +308,7 @@ def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:
         (rec["a"] >= rec["b"], "ids not in (smaller, larger) order"),
         (rec["b"] >= vocab_size, f"word id not below vocabulary size {vocab_size}"),
         (~np.isfinite(rec["cos"]), "non-finite cosine"),
+        (np.abs(rec["cos"]) > 1, "cosine outside [-1, 1]"),
         # checked last: only ids validated above pack to one key per pair
         (np.concatenate(([False], np.diff(keys) <= 0)), "duplicate or out-of-order pair"),
     ):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import add_boundary_markers, read_lines
 from .lexicon import Lexicon, SubsampleTable
-from .sampler import POSITIVE, TrainingSample, build_occurrence_batch
+from .sampler import CTX_POS, TrainingSample, build_occurrence_batch
 
 __all__ = [
     "TrainerConfig",
@@ -110,7 +110,7 @@ def sample_loss(sample: TrainingSample, emb: np.ndarray) -> float:
     term is maximized during training.
     """
     cos = pair_score(emb[sample.target], emb[sample.other])
-    sign = 1.0 if sample.label == POSITIVE else -1.0
+    sign = 1.0 if sample.source == CTX_POS else -1.0
     return sample.weight * _log_sigmoid(sign * cos)
 
 
@@ -138,7 +138,7 @@ def _stepper() -> Callable[[TrainingSample, np.ndarray, float], None]:
             raise ValueError("cosine undefined for a zero vector")
         inv = 1.0 / (nu * nv)
         cos = float(u.dot(v)) * inv
-        sign = 1.0 if sample.label == POSITIVE else -1.0
+        sign = 1.0 if sample.source == CTX_POS else -1.0
         inv_c[()] = inv
         cu_c[()] = cos / (nu * nu)
         cv_c[()] = cos / (nv * nv)
@@ -205,13 +205,9 @@ def train(
     emb = init_embeddings(len(lexicon), config.dim, rng)
     table = SubsampleTable(lexicon, config.epsilon, config.mu)
 
-    wrapped: list[tuple[list[str], list[int]]] = []
-    for sent in sentences:
-        words = add_boundary_markers(sent)
-        ids = [lexicon.id_of(w) for w in words]
-        wrapped.append((words, ids))
+    wrapped = [list(map(lexicon.id_of, add_boundary_markers(sent))) for sent in sentences]
 
-    total_positions = sum(len(ids) for _, ids in wrapped) * config.epochs
+    total_positions = sum(map(len, wrapped)) * config.epochs
     if total_positions == 0:
         return emb
 
@@ -222,19 +218,18 @@ def train(
     processed = 0  # token positions before the current sentence
     batches = 0
     for _ in range(config.epochs):
-        for words, ids in wrapped:
+        for ids in wrapped:
             draws = rng.random(len(ids)).tolist()
             for i, wid in enumerate(ids):
                 if not (keep[wid] or draws[i] < p_sub[wid]):
                     continue
+                # a wrapped sentence holds both markers, so every position has context
                 batch = build_occurrence_batch(
-                    words, ids, i, lexicon, rng,
+                    ids, i, lexicon, rng,
                     window=config.window, n_noise=config.n_noise, eta=config.eta,
                 )
-                if batch is None:
-                    continue
                 lr = _LR_START - lr_span * ((processed + i) / total_positions)
-                for sample in batch.samples:
+                for sample in batch:
                     if sample_sink is not None:
                         sample_sink(sample)
                     step(sample, emb, lr)

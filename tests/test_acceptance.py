@@ -173,8 +173,9 @@ def test_criterion_02_context_negative_oracle():
     checked = 0
     for sent in sentences:
         words = add_boundary_markers(sent)
+        ids = [lex.id_of(w) for w in words]
         for i in range(len(words)):
-            got = context_negatives(words, i, 4, lex)
+            got = context_negatives(ids, i, 4, lex)
             assert len(set(got)) == len(got)
             assert set(got) == oracle(words, i, 4, lex)
             checked += 1
@@ -186,7 +187,7 @@ def test_criterion_03_formula_spot_checks():
     table = SubsampleTable(lex)
     assert table.subsample_prob("one") == 1.0
     assert table.subsample_prob("four") == 0.5
-    assert class_weights(1, 4, 0.2) == (1.0, 0.375)
+    assert class_weights(1, 4, 0.2) == 0.375
 
     hand = Lexicon(("但是", "但", "是", "口"), (1600, 6400, 10000, 1582000))
     assert SubsampleTable(hand).multichar_keep("但是") is False
@@ -202,13 +203,9 @@ def test_criterion_04_gradient_check():
     srng = np.random.default_rng(6)
     by_source: dict[str, list] = {}
     for sent in corpus:
-        words = add_boundary_markers(sent)
-        ids = [lex.id_of(w) for w in words]
+        ids = [lex.id_of(w) for w in add_boundary_markers(sent)]
         for i in range(len(ids)):
-            batch = build_occurrence_batch(words, ids, i, lex, srng)
-            if batch is None:
-                continue
-            for s in batch.samples:
+            for s in build_occurrence_batch(ids, i, lex, srng):
                 bucket = by_source.setdefault(s.source, [])
                 if len(bucket) < 100:
                     bucket.append(s)

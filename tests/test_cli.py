@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line pipeline."""
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -179,7 +180,13 @@ def test_train_no_cache_and_time_seed(workdir):
     assert isinstance(summary["seed"], int)  # time-seeded but echoed
 
 
-def test_every_trainer_config_field_is_a_train_flag(workdir, tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags, want", [
+    (["--epsilon", "0.002", "--mu", "0.25", "--neg", "3", "--dim", "7", "--eta", "0.5", "--window", "2",
+      "--epochs", "2"],
+     TrainerConfig(epsilon=0.002, mu=0.25, n_noise=3, dim=7, eta=0.5, window=2, epochs=2, seed=11)),
+    ([], TrainerConfig(seed=11)),  # every other default is its field's
+], ids=["every-flag", "no-flag"])
+def test_every_trainer_config_field_is_a_train_flag(workdir, tmp_path, monkeypatch, flags, want):
     seen = []
 
     def capture(sentences, lexicon, config, **kwargs):
@@ -190,15 +197,20 @@ def test_every_trainer_config_field_is_a_train_flag(workdir, tmp_path, monkeypat
     rc, _, _ = _run([
         "train", "--corpus", str(workdir / "base.txt"),
         "--dict", str(tmp_path / "d.tsv"), "--emb", str(tmp_path / "e.txt"), "--no-cache",
-        "--epsilon", "0.002", "--mu", "0.25", "--neg", "3", "--dim", "7",
-        "--eta", "0.5", "--window", "2", "--epochs", "2", "--seed", "11",
+        *flags, "--seed", "11",
     ])
     assert rc == 1
-    want = TrainerConfig(epsilon=0.002, mu=0.25, n_noise=3, dim=7, eta=0.5, window=2, epochs=2, seed=11)
     assert seen == [want]
     default = TrainerConfig()
-    # a field no flag sets would keep its default here
-    assert all(getattr(want, f.name) != getattr(default, f.name) for f in dataclasses.fields(TrainerConfig))
+    # with every flag given, a field no flag sets would keep its default
+    assert not flags or all(getattr(want, f.name) != getattr(default, f.name)
+                            for f in dataclasses.fields(TrainerConfig))
+
+
+# sha256 of the dump below: it reads no value from the embedding table, so
+# its bytes depend only on the corpus, the seed and --dim (the draws that
+# initialise the table come first from the same generator)
+_DUMP_SHA256 = "a19ac15ff71fa3a7cb47c5317d142959088f8a4cabb9712876fd55e2727efe05"
 
 
 def test_dump_samples_tsv(workdir):
@@ -217,11 +229,46 @@ def test_dump_samples_tsv(workdir):
     summary = json.loads(out)
     lines = dump.read_text(encoding="utf-8").splitlines()
     assert len(lines) == summary["samples"] > 0
-    for line in lines[:200]:
+    sources = set()
+    for line in lines:
         target, other, label, source, weight = line.split("\t")
-        assert label in ("positive", "negative")
-        assert source in ("ctx_pos", "ctx_neg", "inword_neg", "noise_neg")
+        assert label == ("positive" if source == "ctx_pos" else "negative")
+        sources.add(source)
         float(weight)
+    assert sources == {"ctx_pos", "ctx_neg", "inword_neg", "noise_neg"}
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == _DUMP_SHA256
+
+
+@pytest.mark.parametrize("first, second, spelling", [
+    ("--dict", "--emb", "same"),
+    ("--emb", "--cache", "same"),
+    ("--cache", "--dump-samples", "same"),
+    ("--dict", "--dump-samples", "same"),
+    ("--dict", "--cache", "dotdot"),
+    ("--emb", "--dump-samples", "symlink"),
+])
+def test_two_train_outputs_on_one_path_fail_before_the_corpus_is_read(
+        workdir, tmp_path, monkeypatch, first, second, spelling):
+    # accepted, --dict X --emb X failed on the temporary file the two shared,
+    # with an error naming neither flag
+    monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))
+    monkeypatch.setattr(cli, "train", _refuse("trained"))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _train_argv(workdir, out)
+    path = Path(argv[argv.index(first) + 1])
+    if spelling == "dotdot":
+        other = out / "sub" / ".." / path.name
+    elif spelling == "symlink":
+        other = tmp_path / "link"
+        other.symlink_to(path)
+    else:
+        other = path
+    argv[argv.index(second) + 1] = str(other)
+    rc, stdout, err = _run(argv)
+    assert (rc, stdout) == (1, "")
+    assert err == f"error: {first} and {second} name the same file: {other}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_segment_artifact_mismatch(workdir, trained, tmp_path):
@@ -693,7 +740,11 @@ def test_empty_out_path_fails_before_any_input_is_read(trained, tmp_path, monkey
     assert list(tmp_path.rglob("*")) == [cwd]
 
 
-def test_every_beam_params_field_is_a_segment_flag(trained, tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags, want", [
+    (["--beam", "3", "--max-word-len", "4", "--window", "2"], BeamParams(beam_size=3, max_word_len=4, window=2)),
+    ([], BeamParams()),
+], ids=["every-flag", "no-flag"])
+def test_every_beam_params_field_is_a_segment_flag(trained, tmp_path, monkeypatch, flags, want):
     workdir, _ = trained
     seen = []
 
@@ -703,13 +754,13 @@ def test_every_beam_params_field_is_a_segment_flag(trained, tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "segment_sentence", capture)
     argv = _segment_argv(workdir, workdir / "raw.txt", workdir / "base.txt", tmp_path / "out.txt")
-    rc, _, _ = _run([*argv, "--beam", "3", "--max-word-len", "4", "--window", "2"])
+    rc, _, _ = _run([*argv, *flags])
     assert rc == 1
-    want = BeamParams(beam_size=3, max_word_len=4, window=2)
     assert seen == [want]
     default = BeamParams()
-    # a field no flag sets would keep its default here
-    assert all(getattr(want, f.name) != getattr(default, f.name) for f in dataclasses.fields(BeamParams))
+    # with every flag given, a field no flag sets would keep its default
+    assert not flags or all(getattr(want, f.name) != getattr(default, f.name)
+                            for f in dataclasses.fields(BeamParams))
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from embseg.sampler import (
     NEGATIVE,
     NOISE_NEG,
     POSITIVE,
+    TrainingSample,
     build_occurrence_batch,
     class_weights,
     context_negatives,
@@ -19,6 +20,10 @@ from embseg.sampler import (
     noise_negatives,
     positives,
 )
+
+
+def _ids(lex, sent):
+    return [lex.id_of(w) for w in add_boundary_markers(sent)]
 
 
 def test_positives_window_and_edges():
@@ -31,8 +36,8 @@ def test_positives_window_and_edges():
 
 def test_context_negatives_flank_substring_case():
     lex = Lexicon.from_sentences([["今天", "天气", "w", "天天"]])
-    words = [BOS, "今天", "天气", "w", EOS]
-    out = context_negatives(words, 3, 4, lex)
+    ids = [lex.id_of(w) for w in (BOS, "今天", "天气", "w", EOS)]
+    out = context_negatives(ids, 3, 4, lex)
     # of all substrings of the flank 今天天气, only 天天 is a dictionary
     # word that is not itself a context word
     assert out == [(lex.id_of("w"), lex.id_of("天天"))]
@@ -42,19 +47,17 @@ def test_context_negatives_exclude_marker_text():
     # ⟨B is a dictionary word; if marker text leaked into the flank stream,
     # the left flank of x would contain ⟨B as a substring and emit it
     lex = Lexicon.from_sentences([["OS", "x"], ["⟨B", "q"]])
-    words = add_boundary_markers(["OS", "x"])
-    assert context_negatives(words, 2, 4, lex) == []
+    assert context_negatives(_ids(lex, ["OS", "x"]), 2, 4, lex) == []
 
 
 def test_context_negatives_never_emit_a_marker():
     # the flank "x⟨EOS⟩y" spells the end marker; it is text, not a word
     lex = Lexicon.from_sentences([["a", "b", "c", "d", "e", "x⟨EOS⟩y", "q", "r"], ["abcdef"]])
-    words = add_boundary_markers(["a", "b", "c", "d", "e", "x⟨EOS⟩y", "q", "r"])
-    assert context_negatives(words, words.index("q"), 1, lex) == []
+    ids = _ids(lex, ["a", "b", "c", "d", "e", "x⟨EOS⟩y", "q", "r"])
+    assert context_negatives(ids, ids.index(lex.id_of("q")), 1, lex) == []
     # nor when a real word starts with the marker's text
     lex = Lexicon.from_sentences([["⟨EOS⟩z", "q", "x⟨EOS⟩"]])
-    words = add_boundary_markers(["⟨EOS⟩z", "q", "x⟨EOS⟩"])
-    assert context_negatives(words, 2, 1, lex) == []
+    assert context_negatives(_ids(lex, ["⟨EOS⟩z", "q", "x⟨EOS⟩"]), 2, 1, lex) == []
 
 
 def test_inword_negatives_never_emit_a_marker():
@@ -70,9 +73,9 @@ def test_context_negatives_reach_the_longest_word():
     lex = Lexicon.from_sentences([["q", "天地人", "天地人", "x"], [longest]])
     assert lex.longest == len(longest)
     expected = [(lex.id_of("x"), lex.id_of(longest))]
-    left = [BOS, "q", "天地人", "天地人", "x", EOS]
+    left = _ids(lex, ["q", "天地人", "天地人", "x"])
     assert context_negatives(left, 4, 4, lex) == expected
-    right = [BOS, "x", "天地人", "天地人", "q", EOS]
+    right = _ids(lex, ["x", "天地人", "天地人", "q"])
     assert context_negatives(right, 1, 4, lex) == expected
 
 
@@ -102,9 +105,9 @@ def test_context_negatives_match_brute_force():
     ]
     lex = Lexicon.from_sentences(sentences)
     for sent in sentences:
-        words = add_boundary_markers(sent)
+        words, ids = add_boundary_markers(sent), _ids(lex, sent)
         for i in range(len(words)):
-            got = context_negatives(words, i, 4, lex)
+            got = context_negatives(ids, i, 4, lex)
             assert len(set(got)) == len(got)
             assert set(got) == _oracle_context(words, i, 4, lex)
 
@@ -201,11 +204,11 @@ _WORDS = st.lists(st.sampled_from(["a", "b", "ab", EOS]), min_size=1, max_size=4
 def test_enumerations_equal_brute_force(sentences, window):
     lex = Lexicon.from_sentences(sentences)
     for sent in sentences:
-        words = add_boundary_markers(sent)
+        words, ids = add_boundary_markers(sent), _ids(lex, sent)
         for i, word in enumerate(words):
             if word in MARKERS:
                 continue
-            assert context_negatives(words, i, window, lex) == _brute_context(words, i, window, lex)
+            assert context_negatives(ids, i, window, lex) == _brute_context(words, i, window, lex)
             assert inword_negatives(word, lex) == _brute_inword(word, lex)
 
 
@@ -234,7 +237,7 @@ def test_noise_validation():
 
 
 def test_class_weights_frozen_point():
-    assert class_weights(1, 4, 0.2) == (1.0, 0.375)
+    assert class_weights(1, 4, 0.2) == 0.375
 
 
 def test_class_weights_validation_and_edge():
@@ -242,15 +245,13 @@ def test_class_weights_validation_and_edge():
         class_weights(0, 4, 0.2)
     with pytest.raises(ValueError):
         class_weights(1, 4, -0.1)
-    assert class_weights(3, 0, 0.2) == (1.0, 1.0)
+    assert class_weights(3, 0, 0.2) == 1.0
 
 
 def _batch_fixture():
     sentences = [["b", "c", "a"], ["bc", "a"]]
     lex = Lexicon.from_sentences(sentences)
-    words = add_boundary_markers(["b", "c", "a"])
-    ids = [lex.id_of(w) for w in words]
-    return lex, words, ids
+    return lex, _ids(lex, ["b", "c", "a"])
 
 
 class _FixedDraw:
@@ -264,14 +265,17 @@ class _FixedDraw:
         return self.wid
 
 
+def _negatives(batch):
+    return [s for s in batch if s.label == NEGATIVE]
+
+
 def test_batch_dedup_prefers_first_channel():
-    lex, words, ids = _batch_fixture()
+    lex, ids = _batch_fixture()
     bc = lex.id_of("bc")
     # noise always draws bc, colliding with the context negative
-    batch = build_occurrence_batch(words, ids, 3, lex, _FixedDraw(bc), n_noise=1)
-    assert batch.n_pos == 4
-    assert batch.n_neg == 1
-    negs = [s for s in batch.samples if s.label == NEGATIVE]
+    batch = build_occurrence_batch(ids, 3, lex, _FixedDraw(bc), n_noise=1)
+    assert len(batch) == 5
+    negs = _negatives(batch)
     assert [(s.target, s.other, s.source) for s in negs] == [
         (lex.id_of("a"), bc, CTX_NEG)
     ]
@@ -279,43 +283,45 @@ def test_batch_dedup_prefers_first_channel():
 
 
 def test_batch_noise_channel_survives_without_collision():
-    lex, words, ids = _batch_fixture()
+    lex, ids = _batch_fixture()
     c = lex.id_of("c")
-    batch = build_occurrence_batch(words, ids, 3, lex, _FixedDraw(c), n_noise=1)
-    sources = sorted(s.source for s in batch.samples if s.label == NEGATIVE)
-    assert sources == [CTX_NEG, NOISE_NEG]
-    assert batch.n_neg == 2
+    batch = build_occurrence_batch(ids, 3, lex, _FixedDraw(c), n_noise=1)
+    negs = _negatives(batch)
+    assert sorted(s.source for s in negs) == [CTX_NEG, NOISE_NEG]
     w_neg = (4 / 2 + 0.2) / 1.2
-    negs = [s for s in batch.samples if s.label == NEGATIVE]
     assert all(s.weight == pytest.approx(w_neg) for s in negs)
 
 
 def test_batch_inword_channel():
-    lex, _, _ = _batch_fixture()
-    words = add_boundary_markers(["bc", "a"])
-    ids = [lex.id_of(w) for w in words]
-    batch = build_occurrence_batch(
-        words, ids, 1, lex, np.random.default_rng(5), n_noise=0
-    )
-    negs = [s for s in batch.samples if s.label == NEGATIVE]
-    assert [(s.source, s.target, s.other) for s in negs] == [
+    lex, _ = _batch_fixture()
+    batch = build_occurrence_batch(_ids(lex, ["bc", "a"]), 1, lex, np.random.default_rng(5), n_noise=0)
+    assert [(s.source, s.target, s.other) for s in _negatives(batch)] == [
         (INWORD_NEG, lex.id_of("b"), lex.id_of("c"))
     ]
 
 
-def test_batch_none_without_positives():
-    lex = Lexicon(("q",), (1,))
-    assert build_occurrence_batch(["q"], [0], 0, lex, np.random.default_rng(0)) is None
+def test_batch_without_positives_is_an_error():
+    lex = Lexicon(("q", "r"), (1, 1))
+    with pytest.raises(ValueError, match="at least one positive"):
+        build_occurrence_batch([0], 0, lex, np.random.default_rng(0))
 
 
 def test_batch_sample_invariants():
-    lex, words, ids = _batch_fixture()
-    batch = build_occurrence_batch(words, ids, 3, lex, np.random.default_rng(9))
-    pos = [s for s in batch.samples if s.label == POSITIVE]
-    negs = [s for s in batch.samples if s.label == NEGATIVE]
-    assert len(pos) == batch.n_pos
-    assert len(negs) == batch.n_neg
+    lex, ids = _batch_fixture()
+    batch = build_occurrence_batch(ids, 3, lex, np.random.default_rng(9))
+    assert isinstance(batch, tuple)
+    pos = [s for s in batch if s.label == POSITIVE]
+    negs = _negatives(batch)
+    assert len(pos) == 4 and len(negs) >= 1
     assert all(s.source == CTX_POS and s.weight == 1.0 for s in pos)
+    assert all(s.source != CTX_POS for s in negs)
     assert len({(s.target, s.other) for s in negs}) == len(negs)
-    assert len({s.weight for s in negs}) <= 1
-    assert list(batch.samples[:batch.n_pos]) == pos
+    assert len({s.weight for s in negs}) == 1
+    assert list(batch[:len(pos)]) == pos
+
+
+def test_sample_label_follows_its_channel():
+    for source in (CTX_POS, CTX_NEG, INWORD_NEG, NOISE_NEG):
+        sample = TrainingSample(0, 1, source, 1.0)
+        assert sample.label == (POSITIVE if source == CTX_POS else NEGATIVE)
+    assert TrainingSample._fields == ("target", "other", "source", "weight")

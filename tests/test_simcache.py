@@ -234,6 +234,8 @@ def test_cache_file_rejects_version_1(tmp_path):
         ((1, 1), 0.5, "order"),
         ((0, 1), float("nan"), "non-finite"),
         ((0, 1), float("inf"), "non-finite"),
+        ((0, 1), 7.0, r"record 0 \(0, 1, 7\.0\): cosine outside \[-1, 1\]"),
+        ((0, 3), -1.5, r"record 1 \(0, 3, -1\.5\): cosine outside \[-1, 1\]"),
     ],
 )
 def test_cache_file_rejects_bad_records(tmp_path, key, value, what):

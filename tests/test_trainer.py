@@ -57,11 +57,11 @@ def test_pair_score_cosine_and_zero_vector():
 
 def test_sample_loss_frozen_values():
     emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, math.sqrt(3) / 2]])
-    pos_same = TrainingSample(0, 1, POSITIVE, CTX_POS, 1.0)  # cos 1
+    pos_same = TrainingSample(0, 1, CTX_POS, 1.0)  # cos 1
     assert sample_loss(pos_same, emb) == pytest.approx(-0.31326168751822286, rel=1e-12)
-    pos_orth = TrainingSample(0, 2, POSITIVE, CTX_POS, 1.0)  # cos 0
+    pos_orth = TrainingSample(0, 2, CTX_POS, 1.0)  # cos 0
     assert sample_loss(pos_orth, emb) == pytest.approx(-math.log(2), rel=1e-12)
-    neg_half = TrainingSample(0, 3, NEGATIVE, CTX_NEG, 0.375)  # cos 1/2
+    neg_half = TrainingSample(0, 3, CTX_NEG, 0.375)  # cos 1/2
     assert sample_loss(neg_half, emb) == pytest.approx(-0.36527886906754004, rel=1e-12)
 
 
@@ -81,15 +81,14 @@ def test_train_step_matches_numeric_gradient():
     rng = np.random.default_rng(11)
     emb0 = rng.normal(size=(5, 7))
     cases = [
-        (0, 1, POSITIVE, 1.0),
-        (2, 3, NEGATIVE, 0.375),
-        (1, 4, NEGATIVE, 3.5),
-        (3, 0, POSITIVE, 1.0),
-        (2, 2, POSITIVE, 1.0),  # degenerate self pair still has a gradient
+        (0, 1, CTX_POS, 1.0),
+        (2, 3, CTX_NEG, 0.375),
+        (1, 4, CTX_NEG, 3.5),
+        (3, 0, CTX_POS, 1.0),
+        (2, 2, CTX_POS, 1.0),  # degenerate self pair still has a gradient
     ]
-    for target, other, label, weight in cases:
-        src = CTX_POS if label == POSITIVE else CTX_NEG
-        sample = TrainingSample(target, other, label, src, weight)
+    for case in cases:
+        sample = TrainingSample(*case)
         stepped = emb0.copy()
         train_step(sample, stepped, lr=1.0)
         analytic = stepped - emb0
@@ -132,10 +131,7 @@ def test_train_step_bitwise_equals_reference(dim):
         n_self += same
         o = target if same else int(rng.integers(6))
         positive = rng.random() < 0.5
-        sample = TrainingSample(
-            target, o, POSITIVE if positive else NEGATIVE,
-            CTX_POS if positive else CTX_NEG, float(rng.uniform(0.1, 3.0)),
-        )
+        sample = TrainingSample(target, o, CTX_POS if positive else CTX_NEG, float(rng.uniform(0.1, 3.0)))
         lr = float(rng.uniform(1e-4, 0.05))
         train_step(sample, emb, lr)
         _reference_train_step(sample, ref, lr)
@@ -149,11 +145,11 @@ def _reference_train(sentences, lexicon, config):
     rng = np.random.default_rng(config.seed)
     emb = init_embeddings(len(lexicon), config.dim, rng)
     table = SubsampleTable(lexicon, config.epsilon, config.mu)
-    wrapped = [(w, [lexicon.id_of(t) for t in w]) for w in map(add_boundary_markers, sentences)]
-    total = sum(len(ids) for _, ids in wrapped) * config.epochs
+    wrapped = [[lexicon.id_of(t) for t in add_boundary_markers(s)] for s in sentences]
+    total = sum(len(ids) for ids in wrapped) * config.epochs
     processed = 0
     for _ in range(config.epochs):
-        for words, ids in wrapped:
+        for ids in wrapped:
             draws = rng.random(len(ids))
             for i, wid in enumerate(ids):
                 frac = min(1.0, processed / total)
@@ -161,13 +157,11 @@ def _reference_train(sentences, lexicon, config):
                 if not (table.keep_override[wid] or draws[i] < table.p_sub[wid]):
                     continue
                 batch = build_occurrence_batch(
-                    words, ids, i, lexicon, rng,
+                    ids, i, lexicon, rng,
                     window=config.window, n_noise=config.n_noise, eta=config.eta,
                 )
-                if batch is None:
-                    continue
                 lr = 0.025 - (0.025 - 1e-4) * frac
-                for sample in batch.samples:
+                for sample in batch:
                     _reference_train_step(sample, emb, lr)
     return emb
 
@@ -186,14 +180,14 @@ def test_train_bitwise_equals_reference_loop(epsilon, epochs):
 def test_train_step_zero_lr_is_a_no_op():
     emb = np.random.default_rng(1).normal(size=(3, 4))
     before = emb.copy()
-    train_step(TrainingSample(0, 1, POSITIVE, CTX_POS, 1.0), emb, lr=0.0)
+    train_step(TrainingSample(0, 1, CTX_POS, 1.0), emb, lr=0.0)
     assert np.array_equal(emb, before)
 
 
 def test_train_step_moves_cosine_in_the_right_direction():
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(2, 4))
-    pos = TrainingSample(0, 1, POSITIVE, CTX_POS, 1.0)
+    pos = TrainingSample(0, 1, CTX_POS, 1.0)
     before = pair_score(emb[0], emb[1])
     trace = [before]
     for _ in range(200):
@@ -203,7 +197,7 @@ def test_train_step_moves_cosine_in_the_right_direction():
     assert trace[-1] > max(before, 0.9)
 
     emb = rng.normal(size=(2, 4))
-    neg = TrainingSample(0, 1, NEGATIVE, CTX_NEG, 1.0)
+    neg = TrainingSample(0, 1, CTX_NEG, 1.0)
     before = pair_score(emb[0], emb[1])
     for _ in range(200):
         train_step(neg, emb, lr=0.2)
@@ -243,7 +237,7 @@ def test_train_step_calls_between_samples_leave_train_undisturbed():
     def disturb(sample):
         nonlocal calls
         calls += 1
-        train_step(TrainingSample(calls % 3, 2, NEGATIVE, CTX_NEG, 2.5), other, 0.7)
+        train_step(TrainingSample(calls % 3, 2, CTX_NEG, 2.5), other, 0.7)
 
     disturbed = train(sentences, lex, config, sample_sink=disturb)
     assert calls > 0
@@ -265,7 +259,7 @@ def test_train_step_inside_a_step_leaves_train_undisturbed(monkeypatch):
         nonlocal nested
         if nested == 0:
             nested += 1
-            train_step(TrainingSample(0, 2, NEGATIVE, CTX_NEG, 2.5), other, 0.7)
+            train_step(TrainingSample(0, 2, CTX_NEG, 2.5), other, 0.7)
             nested -= 1
         return sigmoid(x)
 
