@@ -8,7 +8,8 @@ import os
 import shutil
 import sys
 import time
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, closing, contextmanager, nullcontext
+from itertools import repeat, zip_longest
 from typing import Iterator, TextIO
 
 from .corpus import BOS, EOS, read_lines, read_segmented_corpus
@@ -109,7 +110,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("train writes a cache file: pass --cache PATH or --no-cache")
     outputs = {"--dict": args.dict, "--emb": args.emb, "--cache": args.cache,
                "--dump-samples": args.dump_samples}
-    first: dict[str, str] = {}  # resolved path -> the first flag naming it
+    # resolved path -> the first flag naming it; no output may replace the corpus
+    first = {os.path.realpath(args.corpus): "--corpus"}
     for flag, path in outputs.items():
         if path:  # an empty path is rejected where its output is created
             other = first.setdefault(os.path.realpath(path), flag)
@@ -225,20 +227,28 @@ def _text_output(path: str) -> Iterator[TextIO]:
         yield fh
 
 
+def _lines_in_step(path: str, base_path: str | None) -> Iterator[tuple[str, list[str] | None]]:
+    """Each line of `path` with the tokens of the same line of `base_path`
+    (None without one), both read a line at a time.  A line-count mismatch
+    fails when the shorter file ends."""
+    if not base_path:
+        yield from zip(read_lines(path), repeat(None))
+        return
+    pairs = zip_longest(read_lines(path), read_lines(base_path))
+    for n, (line, base) in enumerate(pairs):  # n lines of each file read so far
+        if line is None or base is None:
+            longer = n + 1 + sum(1 for _ in pairs)
+            n_input, n_base = (n, longer) if line is None else (longer, n)
+            raise ValueError(f"{base_path} has {n_base} lines, {path} has {n_input}")
+        yield line, base.split()
+
+
 def cmd_segment(args: argparse.Namespace) -> int:
     params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len, window=args.window)
     # the output is created before any input is read, so a bad --out fails first
-    with _text_output(args.out) as fh:
+    with _text_output(args.out) as fh, closing(_lines_in_step(args.input, args.baseline)) as pairs:
         lexicon, cache = _load_artifacts(args)
-        lines = list(read_lines(args.input))
-        baselines: list[list[str] | None] = [None] * len(lines)
-        if args.baseline:
-            baselines = _read_token_lines(args.baseline)
-            if len(baselines) != len(lines):
-                raise ValueError(
-                    f"{args.baseline} has {len(baselines)} lines, {args.input} has {len(lines)}"
-                )
-        for lineno, (line, base) in enumerate(zip(lines, baselines), start=1):
+        for lineno, (line, base) in enumerate(pairs, start=1):
             try:
                 out = segment_sentence(line, lexicon, cache, params, baseline_tokens=base)
             except ValueError as exc:

@@ -10,25 +10,26 @@ scored like a word.  A hypothesis's rank is computed once, when it
 flushes a word, and carried unchanged while its buffer grows.  Each
 search first indexes the fragment's dictionary lattice (the id of every
 real word fragment[s:e], from `Lexicon.spans`; a buffer never outgrows
-the word-length bound, so no longer word is flushed), keeps each buffer
-as a start offset and memoises word scores, so its inner loop builds no
-strings and looks up no text.  beam_search takes the beam size, word-length bound and window
-from one frozen BeamParams and returns (words, score), or None when the
-beam dies.
+the word-length bound, so no longer word is flushed) and keeps each
+buffer as a start offset, so its inner loop builds no strings and looks
+up no text.  Each flushed word costs one `mean_similarity` call, so the
+cache counts one lookup per scored (word, predecessor) pair.
+beam_search takes the beam size, word-length bound and window from one
+frozen BeamParams and returns (words, score), or None when the beam dies.
 
 When the whole beam dies the search restarts with a larger beam and
 word-length bound, so every input eventually gets some segmentation (its
-baseline tokens, or single characters, in the worst case).  Each round
-adds _BEAM_STEP beam slots and _LEN_STEP to the bound, and the decoder
-gives up after 4 failed rounds whose bound covers the whole fragment or
-the longest dictionary word: past that word a larger bound admits no
-new word, only the beam widens.
-After the first failure one pass over the fragment's dictionary lattice
-finds the smallest word-length bound at which any tiling exists.  Rounds
-below that bound cannot succeed, so they advance the schedule without
-running the search, and a fragment with no tiling at all gives up at
-once.  Every round that is run runs at the same beam size and bound as
-it would if none were skipped, so the output is the same.
+baseline tokens, or single characters, in the worst case).  Round k
+searches with _BEAM_STEP * k more beam slots and _LEN_STEP * k more
+bound than round 0.  After round 0 fails, one pass over the lattice
+finds the tiling bound, the smallest word-length bound at which any
+tiling exists; a fragment with no tiling gives up at once.  Rounds below
+the tiling bound cannot succeed and are not run.  The last round is the
+fourth whose bound covers the whole fragment or the longest dictionary
+word: past that word a larger bound admits no new word, only the beam
+widens.  The tiling bound never exceeds that cover, so the rounds run
+are exactly those of the unskipped schedule that could succeed, and the
+output is the same.
 """
 from __future__ import annotations
 
@@ -99,22 +100,6 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
     return total / (len(seg) - 1)
 
 
-class _ScoreMemo(dict):
-    """The score of each (word, recent) key met in one search: the mean
-    cosine between the word and its recent predecessors, computed on first
-    use; the same call gives the same float every time.  A beam's recent
-    ids are already cut to the window and always hold at least the begin
-    marker, so the key is scored as it stands."""
-
-    def __init__(self, cache: SimilarityCache):
-        super().__init__()
-        self.score = cache.mean_similarity
-
-    def __missing__(self, key: tuple[int, tuple[int, ...]]) -> float:
-        logp = self[key] = self.score(*key)
-        return logp
-
-
 def _word_ids(fragment: str, lexicon: Lexicon) -> list[dict[int, int]]:
     """The fragment's dictionary lattice: entry e maps each start s to the
     id of the real word fragment[s:e], in ascending s, from
@@ -137,8 +122,9 @@ def _finals(
 
     Each character either extends a hypothesis's buffer (while it still
     fits max_word_len) or flushes the buffer as a dictionary word and opens
-    a fresh one.  A beam entry is (rank, start, sum_logp, recent): its
-    buffer is fragment[start:p] at position p.  The rank is
+    a fresh one.  A beam entry is (rank, start, total): its buffer is
+    fragment[start:p] at position p, and total sums the flushed words'
+    scores.  The rank is
 
         (-round(score * 1e9), word_count, negated word lengths, seg)
 
@@ -147,32 +133,33 @@ def _finals(
     word ids.  It depends on the flushed words only, so it is computed when
     a word is flushed and carried while the buffer grows; at one position
     the flushed words also fix the buffer, so no two entries share a rank.
+    A word is scored against the last `window` ids of seg, which starts
+    with the begin marker.
     """
     if not fragment:
         raise ValueError("cannot decode an empty fragment")
     beam_size, max_word_len, window = params.beam_size, params.max_word_len, params.window
-    bos = lexicon.id_of(BOS)
+    score_word = cache.mean_similarity
     eos = lexicon.id_of(EOS)
     n = len(fragment)
     ends = _word_ids(fragment, lexicon)
-    memo = _ScoreMemo(cache)
-    beam = [((0, 1, (), (bos,)), 0, 0.0, (bos,))]
+    beam = [((0, 1, (), (lexicon.id_of(BOS),)), 0, 0.0)]
     for p in range(n):
         flushable = ends[p]
         fits = p + 1 - max_word_len  # buffers starting here or later take one more character
         cands = []
         for entry in beam:
-            rank, start, total, recent = entry
+            rank, start, total = entry
             if start >= fits:
                 cands.append(entry)
             wid = flushable.get(start)
             if wid is not None:
-                total += memo[wid, recent]
+                seg = rank[3]
+                total += score_word(wid, seg[-window:])
                 count = rank[1]
-                seg = rank[3] + (wid,)
                 cands.append((
-                    (-round(total / count * _SCORE_QUANTUM), count + 1, rank[2] + (start - p,), seg),
-                    p, total, (recent + (wid,))[-window:],
+                    (-round(total / count * _SCORE_QUANTUM), count + 1, rank[2] + (start - p,), seg + (wid,)),
+                    p, total,
                 ))
         if not cands:
             return []
@@ -182,13 +169,15 @@ def _finals(
     # marker joins the segmentation as a scored word of its own.
     finals: list[Hypothesis] = []
     flushable = ends[n]
-    for rank, start, total, recent in beam:
+    for rank, start, total in beam:
         wid = flushable.get(start)
         if wid is None:
             continue
-        total += memo[wid, recent]
-        total += memo[eos, (recent + (wid,))[-window:]]
-        seg = rank[3] + (wid, eos)
+        seg = rank[3]
+        total += score_word(wid, seg[-window:])
+        seg += (wid,)
+        total += score_word(eos, seg[-window:])
+        seg += (eos,)
         count = rank[1] + 2
         score = total / (count - 1)
         finals.append(Hypothesis(
@@ -238,26 +227,25 @@ def _decode_with_growth(
     cache: SimilarityCache,
     params: BeamParams,
 ) -> list[str] | None:
-    # past the longest word a larger bound admits no new word, only the beam widens
-    cover = min(len(fragment), lexicon.longest)
-    covered_failures = 0
-    need = 0  # beam_search fails below this word-length bound; found on the first failure
-    while True:
-        m = params.max_word_len
-        if m >= need:
-            res = beam_search(fragment, lexicon, cache, params)
-            if res is not None:
-                return res[0]
-            if need == 0:
-                need = _min_tiling_len(fragment, lexicon)
-                if need is None:
-                    return None  # every round of the schedule would fail
-        if m >= cover:
-            # a few beam-only growth rounds before giving up
-            covered_failures += 1
-            if covered_failures >= 4:
-                return None
-        params = replace(params, beam_size=params.beam_size + _BEAM_STEP, max_word_len=m + _LEN_STEP)
+    res = beam_search(fragment, lexicon, cache, params)
+    if res is not None:
+        return res[0]
+    tiling = _min_tiling_len(fragment, lexicon)
+    if tiling is None:
+        return None  # every round of the schedule would fail
+    k0, m0 = params.beam_size, params.max_word_len
+    # round k searches at bound m0 + k * _LEN_STEP, so -((m0 - b) // _LEN_STEP)
+    # is the first round whose bound reaches b; run from the first round that
+    # reaches the tiling bound through the fourth that covers the fragment or
+    # the longest word
+    first = max(1, -((m0 - tiling) // _LEN_STEP))
+    covered = max(0, -((m0 - min(len(fragment), lexicon.longest)) // _LEN_STEP))
+    for k in range(first, covered + 4):
+        res = beam_search(fragment, lexicon, cache, replace(
+            params, beam_size=k0 + k * _BEAM_STEP, max_word_len=m0 + k * _LEN_STEP))
+        if res is not None:
+            return res[0]
+    return None
 
 
 def _carve_baseline(tokens: Sequence[str], frags: Sequence[str]) -> list[list[str]]:

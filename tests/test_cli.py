@@ -271,6 +271,23 @@ def test_two_train_outputs_on_one_path_fail_before_the_corpus_is_read(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--dict", "--emb", "--cache", "--dump-samples"])
+def test_train_output_on_the_corpus_path_fails_before_any_output(tmp_path, flag):
+    # accepted, the output replaced the corpus when training succeeded
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes("天 地\n地 天\n".encode("utf-8"))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _train_argv(tmp_path, out)
+    argv[argv.index("--corpus") + 1] = str(corpus)
+    argv[argv.index(flag) + 1] = str(corpus)
+    rc, stdout, err = _run(argv)
+    assert (rc, stdout) == (1, "")
+    assert err == f"error: --corpus and {flag} name the same file: {corpus}\n"
+    assert corpus.read_bytes() == "天 地\n地 天\n".encode("utf-8")
+    assert sorted(tmp_path.rglob("*")) == [corpus, out]
+
+
 def test_segment_artifact_mismatch(workdir, trained, tmp_path):
     mini = tmp_path / "mini.txt"
     mini.write_text("天 地\n地 天\n", encoding="utf-8")
@@ -311,6 +328,28 @@ def test_segment_baseline_length_mismatch(trained, tmp_path):
     ])
     assert rc == 1
     assert "lines" in err
+
+
+@pytest.mark.parametrize("base_lines, n_base", [(["大 人"], 1), (["大 人", "天 地", "天 地"], 3)],
+                         ids=["shorter", "longer"])
+def test_segment_line_count_mismatch_names_both_counts(trained, tmp_path, base_lines, n_base):
+    workdir, _ = trained
+    raw, base = _two_lines(tmp_path)
+    base.write_text("".join(line + "\n" for line in base_lines), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    rc, _, err = _run(_segment_argv(workdir, raw, base, out))
+    assert (rc, err) == (1, f"error: {base} has {n_base} lines, {raw} has 2\n")
+    assert not out.exists()
+
+
+def test_segment_input_may_be_its_own_out(trained, tmp_path):
+    workdir, _ = trained
+    raw, base = _two_lines(tmp_path)
+    separate = tmp_path / "separate.txt"
+    assert _run(_segment_argv(workdir, raw, base, separate))[0] == 0
+    rc, _, err = _run(_segment_argv(workdir, raw, base, raw))
+    assert rc == 0, err
+    assert raw.read_bytes() == separate.read_bytes()
 
 
 def test_segment_preserves_blank_lines(trained, tmp_path):

@@ -277,17 +277,20 @@ def test_growth_terminates_without_retry_cap():
 def _reference_growth(fragment, lex, cache, params, beam_step, len_step):
     """The growth schedule with every round run, none skipped; a failed
     round counts as covering once its bound reaches the fragment's length
-    or the longest word."""
+    or the longest word.  Returns the words and the (beam_size,
+    max_word_len) of every round searched."""
     k, m = params.beam_size, params.max_word_len
+    rounds = []
     covered_failures = 0
     while True:
+        rounds.append((k, m))
         res = beam_search(fragment, lex, cache, BeamParams(k, m, params.window))
         if res is not None:
-            return res[0]
+            return res[0], rounds
         if m >= min(len(fragment), lex.longest):
             covered_failures += 1
             if covered_failures >= 4:
-                return None
+                return None, rounds
         k += beam_step
         m += len_step
 
@@ -320,10 +323,22 @@ def _decode_cases(draw):
 @given(_decode_cases())
 def test_growth_skipping_matches_every_round(case):
     fragment, lex, cache, params, (beam_step, len_step) = case
-    want = _reference_growth(fragment, lex, cache, params, beam_step, len_step)
+    want, every_round = _reference_growth(fragment, lex, cache, params, beam_step, len_step)
+    # round 0, then the rounds whose bound reaches the tiling bound, up to
+    # the fourth covered failure
+    tiling = _min_tiling_len(fragment, lex)
+    want_rounds = every_round[:1] + [r for r in every_round[1:] if tiling is not None and r[1] >= tiling]
+    searched = []
+
+    def recording_search(fragment, lexicon, cache, params):
+        searched.append((params.beam_size, params.max_word_len))
+        return beam_search(fragment, lexicon, cache, params)
+
     with mock.patch.object(decoder, "_BEAM_STEP", beam_step), \
-            mock.patch.object(decoder, "_LEN_STEP", len_step):
+            mock.patch.object(decoder, "_LEN_STEP", len_step), \
+            mock.patch.object(decoder, "beam_search", recording_search):
         assert _decode_with_growth(fragment, lex, cache, params) == want
+    assert searched == want_rounds
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -351,6 +366,20 @@ def test_beam_search_matches_reference_beam(case):
         want_result, want_finals = _reference_beam(fragment, lex, cache, k, m, window)
         assert _finals(fragment, lex, cache, BeamParams(k, m, window)) == want_finals
         assert beam_search(fragment, lex, cache, BeamParams(k, m, window)) == want_result
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_one_lookup_per_scored_pair(case):
+    # the reference beam makes one similarity call per (word, predecessor)
+    # pair that its flushes and closes score, repeated pairs included
+    fragment, lex, cache, params, _ = case
+    cache.hits = cache.misses = 0
+    _reference_beam(fragment, lex, cache, params.beam_size, params.max_word_len, params.window)
+    pairs = cache.hits + cache.misses
+    cache.hits = cache.misses = 0
+    _finals(fragment, lex, cache, params)
+    assert cache.hits + cache.misses == pairs
 
 
 def test_dead_buffer_holds_the_only_slot():
