@@ -12,7 +12,7 @@ from contextlib import ExitStack, closing, contextmanager, nullcontext
 from itertools import repeat, zip_longest
 from typing import Iterator, TextIO
 
-from .corpus import BOS, EOS, read_lines, read_segmented_corpus
+from .corpus import BOS, EOS, read_lines, read_segmented_corpus, read_token_lines
 from .decoder import BeamParams, segment_sentence
 from .evaluate import AlignmentError, check_aligned, score, word_improvement_report
 from .lexicon import Lexicon
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
-    return [line.split() for line in read_lines(path)]
+    return list(read_token_lines(path))
 
 
 def _read_aligned(path: str, gold_path: str, gold: list[list[str]]) -> list[list[str]]:
@@ -179,7 +179,7 @@ def _load_artifacts(args: argparse.Namespace) -> tuple[Lexicon, SimilarityCache]
             f"{args.emb}: embedding rows do not match {args.dict} "
             "(different vocabulary or order); re-run train"
         )
-    if args.cache:
+    if args.cache is not None:
         return lexicon, load_cache(args.cache, emb)
     return lexicon, SimilarityCache(emb)
 
@@ -231,7 +231,7 @@ def _lines_in_step(path: str, base_path: str | None) -> Iterator[tuple[str, list
     """Each line of `path` with the tokens of the same line of `base_path`
     (None without one), both read a line at a time.  A line-count mismatch
     fails when the shorter file ends."""
-    if not base_path:
+    if base_path is None:
         yield from zip(read_lines(path), repeat(None))
         return
     pairs = zip_longest(read_lines(path), read_lines(base_path))
@@ -245,6 +245,11 @@ def _lines_in_step(path: str, base_path: str | None) -> Iterator[tuple[str, list
 
 def cmd_segment(args: argparse.Namespace) -> int:
     params = BeamParams(beam_size=args.beam, max_word_len=args.max_word_len, window=args.window)
+    inputs = {"--input": args.input, "--dict": args.dict, "--emb": args.emb,
+              "--cache": args.cache, "--baseline": args.baseline}
+    for flag, path in inputs.items():
+        if path == "":  # never read as an absent --cache or --baseline
+            raise ValueError(f"empty input path for {flag}")
     # the output is created before any input is read, so a bad --out fails first
     with _text_output(args.out) as fh, closing(_lines_in_step(args.input, args.baseline)) as pairs:
         lexicon, cache = _load_artifacts(args)

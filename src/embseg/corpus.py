@@ -25,6 +25,7 @@ __all__ = [
     "fragment_texts",
     "reassemble",
     "read_lines",
+    "read_token_lines",
     "read_segmented_corpus",
     "escape_token",
     "unescape_token",
@@ -133,10 +134,26 @@ def read_lines(path: str) -> Iterator[str]:
             yield line
 
 
-def read_segmented_corpus(path: str) -> Iterator[list[str]]:
-    """Yield one token list per non-blank line, split at any whitespace."""
+def read_token_lines(path: str) -> Iterator[list[str]]:
+    """Yield the tokens of each line, split at any whitespace; a blank line
+    gives [].
+
+    Equal tokens are one str object: a reader that keeps the whole file
+    holds each distinct word once, not once per occurrence (a corpus has
+    many more tokens than words).  The lists equal `line.split()`.
+    """
+    seen: dict[str, str] = {}  # this file's words; dropped with the generator
+    one = seen.setdefault
     for line in read_lines(path):
-        tokens = line.split()
+        yield [one(tok, tok) for tok in line.split()]
+
+
+def read_segmented_corpus(path: str) -> Iterator[list[str]]:
+    """Yield one token list per non-blank line, split at any whitespace.
+
+    As in `read_token_lines`, equal tokens of the file are one str object.
+    """
+    for tokens in read_token_lines(path):
         if tokens:
             yield tokens
 

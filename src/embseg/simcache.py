@@ -27,8 +27,8 @@ import os
 import struct
 from array import array
 from bisect import bisect_right
-from itertools import chain, islice
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain, islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ _MIN_NORM = 1e-12
 _ENTRY = np.dtype([("a", "<u4"), ("b", "<u4"), ("cos", "<f4")])
 _CHUNK = 128  # pairs per cosine batch: small, so the gathered rows do not raise peak memory
 _BLOCK = 1 << 14  # token ids per block of the pair walk: bounds its arrays on a long corpus
-_GROUP = 1 << 14  # pairs converted to Python objects at a time while filling rows
+_GROUP = 1 << 14  # pairs converted at a time between rows and records
 _NO_PAIRS: dict[int, float] = {}  # the row of every id without a pair; never mutated
 
 
@@ -204,24 +204,33 @@ def _row_bounds(a: np.ndarray, v: int) -> list[int]:
     return np.searchsorted(a, np.arange(v + 1, dtype=a.dtype)).tolist()
 
 
+def _row_groups(bounds: list[int]) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [r, s) covering every row, each holding at
+    most _GROUP pairs or a single longer row; row r holds the pairs
+    bounds[r]:bounds[r + 1].  Rows and records are converted a group at a
+    time: nothing of the table's length is built, and a small table does
+    not pay numpy calls per row."""
+    v = len(bounds) - 1
+    r = 0
+    while r < v:
+        s = max(bisect_right(bounds, bounds[r] + _GROUP) - 1, r + 1)
+        yield r, s
+        r = s
+
+
 def _near_rows(bounds: list[int], b: np.ndarray, cos: np.ndarray) -> list[dict[int, float]]:
     """The per-word rows: row a maps b[i] to cos[i] for i in
-    bounds[a]:bounds[a + 1].  Whole rows are converted to Python objects
-    in groups of at most _GROUP pairs (or one longer row): no full-length
-    Python list is built, and a small table does not pay numpy calls per
-    row.  The keys are shared: one int object per vocabulary id."""
+    bounds[a]:bounds[a + 1], converted to Python objects one row group at
+    a time.  The keys are shared: one int object per vocabulary id."""
     v = len(bounds) - 1
     ids = np.arange(v).astype(object)
     near = [_NO_PAIRS] * v
-    r = 0
-    while r < v:
-        lo = bounds[r]
-        s = max(bisect_right(bounds, lo + _GROUP) - 1, r + 1)  # rows r..s-1
-        pairs = zip(ids[b[lo:bounds[s]]].tolist(), cos[lo:bounds[s]].tolist())
+    for r, s in _row_groups(bounds):
+        lo, hi = bounds[r], bounds[s]
+        pairs = zip(ids[b[lo:hi]].tolist(), cos[lo:hi].tolist())
         for q in range(r, s):
             if bounds[q] < bounds[q + 1]:
                 near[q] = dict(islice(pairs, bounds[q + 1] - bounds[q]))
-        r = s
     return near
 
 
@@ -257,19 +266,22 @@ def save_cache(path: str, cache: SimilarityCache) -> None:
     """Binary layout: magic 'WCSC', version byte, vocab size (u32 LE), entry
     count (u64 LE), blake2b digest of the unit-row table (32 bytes), then
     (id_a u32, id_b u32, cos f32) triples with id_a < id_b, sorted.  The
-    rows are in that order already, so they are written as they stand."""
+    rows are in that order already, so they are written as they stand, one
+    row group at a time: no array of the whole table is built."""
     near = cache.near
-    sizes = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
-    n = int(sizes.sum())
-    rec = np.empty(n, dtype=_ENTRY)
-    rec["a"] = np.repeat(np.arange(len(near)), sizes)
-    rec["b"] = np.fromiter(chain.from_iterable(near), dtype=np.uint32, count=n)
-    rec["cos"] = np.fromiter(chain.from_iterable(map(dict.values, near)), dtype=np.float32, count=n)
+    bounds = list(accumulate(map(len, near), initial=0))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
-        fh.write(_HEADER.pack(cache.vocab_size, n, _unit_digest(cache._unit)))
-        rec.tofile(fh)
+        fh.write(_HEADER.pack(cache.vocab_size, bounds[-1], _unit_digest(cache._unit)))
+        for r, s in _row_groups(bounds):
+            rows = near[r:s]
+            n = bounds[s] - bounds[r]
+            rec = np.empty(n, dtype=_ENTRY)
+            rec["a"] = np.repeat(np.arange(r, s), np.diff(bounds[r:s + 1]))
+            rec["b"] = np.fromiter(chain.from_iterable(rows), dtype=np.uint32, count=n)
+            rec["cos"] = np.fromiter(chain.from_iterable(map(dict.values, rows)), dtype=np.float32, count=n)
+            rec.tofile(fh)
 
 
 def load_cache(path: str, embeddings: np.ndarray) -> SimilarityCache:

@@ -779,6 +779,34 @@ def test_empty_out_path_fails_before_any_input_is_read(trained, tmp_path, monkey
     assert list(tmp_path.rglob("*")) == [cwd]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--baseline"], ["--cache"], ["--cache", "--baseline"], ["--input"], ["--dict"], ["--emb"],
+])
+def test_empty_input_path_fails_before_any_input_is_read(trained, tmp_path, monkeypatch, flags):
+    # accepted, --baseline "" and --cache "" decoded without a baseline or
+    # without the cache and exited 0, as if the flag had not been given
+    workdir, _ = trained
+    for name in ("read_lines", "_load_artifacts", "segment_sentence"):
+        monkeypatch.setattr(cli, name, _refuse(f"called {name}"))
+    argv = _segment_argv(workdir, workdir / "raw.txt", workdir / "base.txt", tmp_path / "out.txt")
+    for flag in flags:
+        argv[argv.index(flag) + 1] = ""
+    rc, out, err = _run(argv)
+    assert (rc, out, err) == (1, "", f"error: empty input path for {flags[0]}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_token_line_reader_keeps_blank_lines_and_one_object_per_word(tmp_path):
+    path = tmp_path / "gold.txt"
+    text = "今天 天气\n\n天气  今天\n \t\n今天\n"
+    path.write_text(text, encoding="utf-8")
+    lines = cli._read_token_lines(str(path))
+    assert lines == [line.split() for line in text.split("\n")[:-1]]
+    assert lines[1] == lines[3] == []
+    assert lines[0][0] is lines[2][1] is lines[4][0]
+    assert lines[0][1] is lines[2][0]
+
+
 @pytest.mark.parametrize("flags, want", [
     (["--beam", "3", "--max-word-len", "4", "--window", "2"], BeamParams(beam_size=3, max_word_len=4, window=2)),
     ([], BeamParams()),

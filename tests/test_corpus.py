@@ -1,4 +1,7 @@
-"""Fragment splitting, reassembly, and marker escaping."""
+"""Fragment splitting, reassembly, marker escaping, and file readers."""
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from embseg.corpus import (
     is_word_char,
     read_lines,
     read_segmented_corpus,
+    read_token_lines,
     reassemble,
     split_fragments,
     strip_delimiters,
@@ -153,6 +157,51 @@ def test_read_segmented_corpus(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("今天 天气\n\n 天 \n", encoding="utf-8")
     assert list(read_segmented_corpus(str(path))) == [["今天", "天气"], ["天"]]
+
+
+def test_read_segmented_corpus_holds_one_object_per_word(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("今天 天气 很好\n\n天气 今天\n今天 今天\n", encoding="utf-8")
+    lines = list(read_segmented_corpus(str(path)))
+    assert lines == [["今天", "天气", "很好"], ["天气", "今天"], ["今天", "今天"]]
+    today = lines[0][0]
+    assert all(tok is today for tok in (lines[1][1], lines[2][0], lines[2][1]))
+    assert lines[1][0] is lines[0][1]
+
+
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_LINE_TEXT, st.sampled_from(["", " ", "今天 天气", " 天气\t今天 "])), max_size=8))
+def test_readers_split_like_str_split(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "tokens.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    want = [line.split() for line in lines]
+    assert list(read_token_lines(str(path))) == want
+    assert list(read_segmented_corpus(str(path))) == [tokens for tokens in want if tokens]
+    seen = {}
+    for tokens in read_token_lines(str(path)):
+        assert all(seen.setdefault(tok, tok) is tok for tok in tokens)
+
+
+def test_reading_repeated_lines_holds_list_slots_not_token_copies(tmp_path):
+    # one str per occurrence costs about 80 bytes a token here; with one
+    # per word a line costs only its list, with room for spare slots
+    line = "今天 天气 很好 我们 出去 走走"
+    n = 2000
+    path = tmp_path / "corpus.txt"
+    path.write_text((line + "\n") * n, encoding="utf-8")
+    k = len(line.split())
+    per_line = sys.getsizeof([None] * 2 * k)
+    tracemalloc.start()
+    try:
+        lines = list(read_segmented_corpus(str(path)))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == n
+    assert held < n * per_line, f"{held / n:.0f} bytes per line, bound {per_line}"
 
 
 def test_read_segmented_corpus_bad_utf8(tmp_path):

@@ -2,6 +2,7 @@
 import hashlib
 import struct
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -511,8 +512,9 @@ def test_rows_equal_a_reference_dict(tmp_path_factory, case):
 LOAD_PEAK_BYTES_PER_PAIR = 110
 
 
-def test_load_cache_peak_memory_per_pair(tmp_path):
-    v, n = 2500, 100_000
+def _random_table_file(path, v, n):
+    """Write a valid cache file of `n` random pairs over `v` ids, without
+    building the table in memory; returns its embeddings."""
     rng = np.random.default_rng(5)
     emb = rng.normal(size=(v, 4))
     keys = rng.integers(v * v, size=3 * n)
@@ -521,11 +523,15 @@ def test_load_cache_peak_memory_per_pair(tmp_path):
     rec = np.empty(n, dtype=_ENTRY)
     rec["a"], rec["b"] = np.divmod(keys, v)
     rec["cos"] = rng.uniform(-1, 1, n)
-    del keys, a, b
-    path = tmp_path / "sim.bin"
     digest = _unit_digest(SimilarityCache(emb)._unit)
     path.write_bytes(b"WCSC" + bytes([2]) + _HEADER.pack(v, n, digest) + rec.tobytes())
-    del rec
+    return emb
+
+
+def test_load_cache_peak_memory_per_pair(tmp_path):
+    v, n = 2500, 100_000
+    path = tmp_path / "sim.bin"
+    emb = _random_table_file(path, v, n)
     tracemalloc.start()
     try:
         cache = load_cache(str(path), emb)
@@ -534,3 +540,54 @@ def test_load_cache_peak_memory_per_pair(tmp_path):
         tracemalloc.stop()
     assert peak / n < LOAD_PEAK_BYTES_PER_PAIR, f"{peak / n:.1f} bytes per pair"
     assert cache.entries == n
+
+
+# -- save_cache in row groups against one array of the whole table ----------
+
+def _whole_table_bytes(cache):
+    """The cache file as one array of every record, field by field through
+    np.fromiter: the writer that row groups replaced, kept as reference."""
+    near = cache.near
+    sizes = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+    n = int(sizes.sum())
+    rec = np.empty(n, dtype=_ENTRY)
+    rec["a"] = np.repeat(np.arange(len(near)), sizes)
+    rec["b"] = np.fromiter(chain.from_iterable(near), dtype=np.uint32, count=n)
+    rec["cos"] = np.fromiter(chain.from_iterable(map(dict.values, near)), dtype=np.float32, count=n)
+    head = _HEADER.pack(cache.vocab_size, n, _unit_digest(cache._unit))
+    return b"WCSC" + bytes([2]) + head + rec.tobytes()
+
+
+@pytest.mark.parametrize("group", [1, 7, 64])
+def test_save_cache_in_row_groups_equals_whole_table_writer(group, tmp_path, monkeypatch):
+    monkeypatch.setattr(simcache, "_GROUP", group)
+    v = 100
+    rng = np.random.default_rng(group)
+    emb = rng.normal(size=(v, 3))
+    keys = {(int(a), int(b)) for a, b in rng.integers(v, size=(300, 2)) if a < b}
+    keys |= {(2, b) for b in range(3, v)}  # a row of 97 pairs: longer than every group
+    keys = {(a, b) for a, b in keys if a not in (5, 6, 7)}  # and rows with no pair
+    cache = SimilarityCache(emb, {key: float(np.float32(rng.uniform(-1, 1))) for key in keys})
+    assert max(map(len, cache.near)) > group
+    path = tmp_path / "sim.bin"
+    save_cache(str(path), cache)
+    assert path.read_bytes() == _whole_table_bytes(cache)
+    assert list(load_cache(str(path), emb).pairs().items()) == list(cache.pairs().items())
+
+
+def test_save_cache_peak_memory_is_bounded(tmp_path):
+    # one array of the whole table peaked near 20 bytes a pair, 6 MiB here;
+    # a row group holds at most _GROUP pairs, about 0.3 MiB of arrays
+    v, n = 2500, 300_000
+    src = tmp_path / "src.bin"
+    emb = _random_table_file(src, v, n)
+    cache = load_cache(str(src), emb)
+    path = tmp_path / "sim.bin"
+    tracemalloc.start()
+    try:
+        save_cache(str(path), cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak / 2**20:.2f} MiB"
+    assert path.read_bytes() == src.read_bytes()
