@@ -176,9 +176,14 @@ def unescape_token(token: str) -> str:
     return token
 
 
+def _escaped(tokens: list[str]) -> Iterable[str]:
+    # the tokens through escape_token: the list itself when none holds "⟨",
+    # since every token escape_token renames holds one
+    if "⟨" not in "".join(tokens):
+        return tokens
+    return map(escape_token, tokens)
+
+
 def add_boundary_markers(tokens: Iterable[str]) -> list[str]:
     """Wrap a sentence with the reserved begin and end marker tokens."""
-    tokens = list(tokens)
-    if "⟨" not in "".join(tokens):  # every token escape_token renames holds one
-        return [BOS, *tokens, EOS]
-    return [BOS, *map(escape_token, tokens), EOS]
+    return [BOS, *_escaped(list(tokens)), EOS]

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import MARKERS, add_boundary_markers, read_lines
+from .corpus import BOS, EOS, MARKERS, _escaped, add_boundary_markers, read_lines
 
 __all__ = ["Lexicon", "SubsampleTable"]
 
@@ -99,6 +99,18 @@ class Lexicon:
                     out.append((start, end, wid))
         return out
 
+    @cached_property
+    def _texts(self) -> tuple[str, ...]:
+        # each id's characters in running text: "" for the markers, which
+        # are tokens, not text (sampler.context_negatives joins flanks here)
+        return tuple("" if w in MARKERS else w for w in self._words)
+
+    @cached_property
+    def _inword(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        # the in-word negatives of each target id, filled on first use by
+        # sampler.build_occurrence_batch, so each word's spans are walked once
+        return {}
+
     def __len__(self) -> int:
         return len(self._words)
 
@@ -109,7 +121,17 @@ class Lexicon:
         try:
             return self._index[word]
         except KeyError:
-            raise KeyError(f"unknown word {word!r}; was the lexicon built from this corpus?") from None
+            raise _unknown(word) from None
+
+    def encode(self, tokens: Iterable[str]) -> list[int]:
+        """Ids of a sentence wrapped in the boundary markers, its tokens
+        escaped: `[id_of(t) for t in add_boundary_markers(tokens)]`, mapped
+        in one C-level pass.  An unknown word is id_of's KeyError."""
+        index = self._index
+        try:
+            return [index[BOS], *map(index.__getitem__, _escaped(list(tokens))), index[EOS]]
+        except KeyError as exc:
+            raise _unknown(exc.args[0]) from None
 
     def word_of(self, wid: int) -> str:
         return self._words[wid]
@@ -148,6 +170,10 @@ class Lexicon:
         if not counts:
             raise ValueError(f"{path}: no entries")
         return cls(first_line.keys(), counts)
+
+
+def _unknown(word: str) -> KeyError:
+    return KeyError(f"unknown word {word!r}; was the lexicon built from this corpus?")
 
 
 class SubsampleTable:

@@ -11,9 +11,16 @@ Negatives share one class weight computed from the batch's class counts.
 The boundary markers are tokens, not text: no negative pairs a substring
 with a marker, even where a word spells the marker's characters.  Both
 substring channels read the real words a text spells from `Lexicon.spans`.
+
+The sampler reads token ids only: a sentence is mapped once per stage by
+`Lexicon.encode`.  A batch is built with few Python calls per pair: its
+samples are made in C, the flank texts are joined from the lexicon's
+per-id texts, and a word's in-word negatives are found once per lexicon,
+on the word's first kept occurrence.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +66,11 @@ class TrainingSample(NamedTuple):
         return POSITIVE if self.source == CTX_POS else NEGATIVE
 
 
+# builds a TrainingSample from a 4-tuple in C, without the Python-level
+# __new__ a NamedTuple call runs
+_new_sample = partial(tuple.__new__, TrainingSample)
+
+
 def positives(sentence: list[int], i: int, window: int) -> list[tuple[int, int]]:
     """(target, context) id pairs for every window position, clipped at edges."""
     lo = max(0, i - window)
@@ -81,10 +93,10 @@ def context_negatives(ids: list[int], i: int, window: int, lexicon: Lexicon) -> 
     left, right = ids[lo:i], ids[i + 1:hi]
     skip = set(left + right)  # context words, then each word emitted
     target = ids[i]
+    text = lexicon._texts.__getitem__  # a marker's text is ""
     out: list[tuple[int, int]] = []
     for flank in (left, right):
-        seq = "".join(w for w in map(lexicon.word_of, flank) if w not in MARKERS)
-        for _, _, wid in lexicon.spans(seq):
+        for _, _, wid in lexicon.spans("".join(map(text, flank))):
             if wid not in skip:
                 skip.add(wid)
                 out.append((target, wid))
@@ -154,20 +166,26 @@ def build_occurrence_batch(
     weight comes from this batch's class counts, so an occurrence with no
     context word is a ValueError.
     """
+    target = ids[i]
     pos = positives(ids, i, window)
     ctx = context_negatives(ids, i, window, lexicon)
+    memo = lexicon._inword
+    inword = memo.get(target)
+    if inword is None:
+        # An in-word pair joins two proper substrings of the target, so it
+        # never starts with the target as every context and noise pair
+        # does: deduplicated among themselves once per word, they meet no
+        # other channel's pair.
+        inword = memo[target] = tuple(dict.fromkeys(inword_negatives(lexicon.word_of(target), lexicon)))
     seen = set(ctx)  # context negatives are distinct already
-    negs = [(t, o, CTX_NEG) for t, o in ctx]
-    for src, pairs in (
-        (INWORD_NEG, inword_negatives(lexicon.word_of(ids[i]), lexicon)),
-        (NOISE_NEG, noise_negatives(ids[i], n_noise, rng, len(lexicon))),
-    ):
-        for pair in pairs:
-            if pair not in seen:
-                seen.add(pair)
-                negs.append((*pair, src))
-    w_neg = class_weights(len(pos), len(negs), eta)
-    return tuple(
-        [TrainingSample(t, o, CTX_POS, 1.0) for t, o in pos]
-        + [TrainingSample(t, o, src, w_neg) for t, o, src in negs]
-    )
+    noise: list[tuple[int, int]] = []
+    for pair in noise_negatives(target, n_noise, rng, len(lexicon)):
+        if pair not in seen:
+            seen.add(pair)
+            noise.append(pair)
+    w_neg = class_weights(len(pos), len(ctx) + len(inword) + len(noise), eta)
+    samples = [(t, o, CTX_POS, 1.0) for t, o in pos]
+    samples += [(t, o, CTX_NEG, w_neg) for t, o in ctx]
+    samples += [(t, o, INWORD_NEG, w_neg) for t, o in inword]
+    samples += [(t, o, NOISE_NEG, w_neg) for t, o in noise]
+    return tuple(map(_new_sample, samples))

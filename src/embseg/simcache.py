@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import add_boundary_markers
 from .lexicon import Lexicon
 
 __all__ = [
@@ -176,7 +175,7 @@ def build_cache(
     blocks: list[np.ndarray] = []
     ids: list[int] = []
     for sent in sentences:
-        ids += map(lexicon.id_of, add_boundary_markers(sent))
+        ids += lexicon.encode(sent)
         ids += gap
         if len(ids) >= _BLOCK:
             blocks.append(_window_keys(ids, window, v))

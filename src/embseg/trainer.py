@@ -4,17 +4,25 @@ The objective is a weighted sum of log-sigmoid scores over sampled pairs:
 positives push the cosine of their two vectors up, negatives push it down.
 Scoring pairs by cosine rather than raw dot product keeps the training
 geometry identical to the metric the decoder ranks hypotheses with.
+
+`train` spends its time in numpy's per-call work rather than in Python
+calls per token and per pair: `Lexicon.encode` maps the corpus to ids
+once, the step reads row views made once per training run and unpacks
+each sample once, and the sampler builds its samples in C.  The result
+is bit for bit that of `train_step` applied to each sample in turn.
 """
 from __future__ import annotations
 
 import logging
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import add_boundary_markers, read_lines
+from .corpus import read_lines
 from .lexicon import Lexicon, SubsampleTable
 from .sampler import CTX_POS, TrainingSample, build_occurrence_batch
 
@@ -89,13 +97,6 @@ def pair_score(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v)) / (nu * nv)
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
 def _log_sigmoid(x: float) -> float:
     # stable for both signs
     if x >= 0:
@@ -114,23 +115,28 @@ def sample_loss(sample: TrainingSample, emb: np.ndarray) -> float:
     return sample.weight * _log_sigmoid(sign * cos)
 
 
-def _stepper() -> Callable[[TrainingSample, np.ndarray, float], None]:
-    """A train_step that owns four 0-d float64 cells for its scalars.
+def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], None]:
+    """A train step on `rows[id]` that owns four 0-d float64 cells for its
+    scalars.
 
-    numpy scales a vector by a 0-d float64 array faster than by a Python
-    float, which it converts on every call; the IEEE products are the
-    same.  So the step writes its scalars into the cells and scales
-    through them.  Each closure has cells of its own: two trainings, or
-    a training and a train_step call, never write each other's.
+    `rows` is the table itself, indexed per call, or `list(table)`, its row
+    views made once: both are views of the same memory.  numpy scales a
+    vector by a 0-d float64 array faster than by a Python float, which it
+    converts on every call; the IEEE products are the same.  So the step
+    writes its scalars into the cells and scales through them.  Each
+    closure has cells of its own: two trainings, or a training and a
+    train_step call, never write each other's.
     """
     inv_c = np.empty(())   # 1 / (|u| |v|)
     cu_c = np.empty(())    # cos / |u|^2
     cv_c = np.empty(())    # cos / |v|^2
     coef_c = np.empty(())  # lr * weight * dloss/dcos
+    exp = math.exp
 
-    def step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
-        u = emb[sample.target]
-        v = emb[sample.other]
+    def step(sample: TrainingSample, lr: float) -> None:
+        target, other, source, weight = sample
+        u = rows[target]
+        v = rows[other]
         # exactly np.linalg.norm of a 1-D float64 vector, without its overhead
         nu = math.sqrt(u.dot(u))
         nv = math.sqrt(v.dot(v))
@@ -138,11 +144,18 @@ def _stepper() -> Callable[[TrainingSample, np.ndarray, float], None]:
             raise ValueError("cosine undefined for a zero vector")
         inv = 1.0 / (nu * nv)
         cos = float(u.dot(v)) * inv
-        sign = 1.0 if sample.source == CTX_POS else -1.0
+        sign = 1.0 if source == CTX_POS else -1.0
+        # sigmoid(x) at x = -sign * cos, in the form that is stable for its sign
+        x = -sign * cos
+        if x >= 0:
+            sig = 1.0 / (1.0 + exp(-x))
+        else:
+            z = exp(x)
+            sig = z / (1.0 + z)
         inv_c[()] = inv
         cu_c[()] = cos / (nu * nu)
         cv_c[()] = cos / (nv * nv)
-        coef_c[()] = lr * sample.weight * sign * _sigmoid(-sign * cos)
+        coef_c[()] = lr * weight * sign * sig
         # du = coef * (v*inv - u*cos/|u|^2), dv symmetrically, both from
         # the pre-step rows; IEEE products commute, so *= coef is exact
         du = v * inv_c
@@ -164,10 +177,10 @@ def train_step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
     dcos/du = v/(|u||v|) - cos*u/|u|^2 (symmetrically for v).  Both deltas
     are computed from the pre-step rows, then applied in place through
     the row views (when target == other both land on the same row, in the
-    same order).  This is the step `train` runs, with fresh scalar cells
-    for this call.
+    same order).  This is the step `train` runs, here indexing `emb` per
+    call and with fresh scalar cells for this call.
     """
-    _stepper()(sample, emb, lr)
+    _stepper(emb)(sample, lr)
 
 
 def _repair_rows(emb: np.ndarray, rng: np.random.Generator, where: str) -> None:
@@ -205,13 +218,15 @@ def train(
     emb = init_embeddings(len(lexicon), config.dim, rng)
     table = SubsampleTable(lexicon, config.epsilon, config.mu)
 
-    wrapped = [list(map(lexicon.id_of, add_boundary_markers(sent))) for sent in sentences]
+    wrapped = list(map(lexicon.encode, sentences))
 
     total_positions = sum(map(len, wrapped)) * config.epochs
     if total_positions == 0:
         return emb
 
-    step = _stepper()
+    # row views made once: _repair_rows writes the table in place, so they
+    # stay views of the rows being trained
+    step = _stepper(list(emb))
     p_sub = table.p_sub.tolist()
     keep = table.keep_override.tolist()
     lr_span = _LR_START - _LR_END
@@ -232,7 +247,7 @@ def train(
                 for sample in batch:
                     if sample_sink is not None:
                         sample_sink(sample)
-                    step(sample, emb, lr)
+                    step(sample, lr)
                 batches += 1
                 if batches % _SWEEP_EVERY == 0:
                     _repair_rows(emb, rng, f"sweep at batch {batches}")
@@ -272,6 +287,14 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
         V = d = 0
     if V < 1 or d < 1:
         raise ValueError(f"{path}:1: malformed header, expected 'V d' with V, d >= 1")
+    # a row is a word, d space-led floats and a newline: at least 2d + 2
+    # bytes, so a header the file cannot hold fails before the allocation
+    st = os.stat(path)
+    if stat.S_ISREG(st.st_mode) and V * (2 * d + 2) > st.st_size:
+        raise ValueError(
+            f"{path}:1: header announces {V} rows of {d} floats, "
+            f"more than the file's {st.st_size} bytes can hold"
+        )
     words: list[str] = []
     emb = np.empty((V, d), dtype=np.float64)
     row = 0

@@ -576,6 +576,28 @@ def test_segment_names_the_embedding_line_with_a_non_finite_value(trained, tmp_p
     assert not (tmp_path / "never.txt").exists()
 
 
+@pytest.mark.parametrize("header", ["100000000000 100", "3 1000000"])
+def test_segment_rejects_an_embedding_header_the_file_cannot_hold(trained, tmp_path, header):
+    # the table was allocated from the header first: 10^11 rows died in
+    # numpy's allocator with a traceback and no error line
+    workdir, _ = trained
+    lines = (workdir / "emb.txt").read_text(encoding="utf-8").splitlines()
+    emb = tmp_path / "emb_huge.txt"
+    emb.write_text("".join(l + "\n" for l in [header, *lines[1:]]), encoding="utf-8")
+    out = tmp_path / "never.txt"
+    rc, _, err = _run([
+        "segment",
+        "--input", str(workdir / "raw.txt"),
+        "--dict", str(workdir / "dict.tsv"),
+        "--emb", str(emb),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert err.startswith(f"error: {emb}:1: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _with_bad_byte_on_line_2(src, dst):
     lines = src.read_bytes().split(b"\n")
     lines[1] = b"\xff" + lines[1]

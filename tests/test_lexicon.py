@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embseg.corpus import BOS, EOS, MARKERS
+from embseg.corpus import BOS, EOS, MARKERS, add_boundary_markers
 from embseg.lexicon import Lexicon, SubsampleTable
 
 
@@ -82,6 +82,34 @@ def test_unknown_word_message():
     lex = Lexicon(("a",), (1,))
     with pytest.raises(KeyError, match="unknown word"):
         lex.id_of("b")
+
+
+# tokens that spell a marker, carry the escape prefix, or hold a stray "⟨"
+_TOKEN = st.lists(st.sampled_from(["a", "b", "⟨", "⟨⟨", BOS, EOS]), min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(_TOKEN, max_size=6), min_size=1, max_size=4))
+def test_encode_equals_id_of_over_marked_tokens(sentences):
+    lex = Lexicon.from_sentences(sentences)
+    for tokens in sentences:
+        want = [lex.id_of(t) for t in add_boundary_markers(tokens)]
+        assert lex.encode(tokens) == want
+        assert lex.encode(iter(tokens)) == want
+
+
+@pytest.mark.parametrize("tokens, unknown", [
+    (["a", "zz"], "zz"),
+    (["a", BOS], "⟨⟨" + BOS),  # escaped before lookup, as add_boundary_markers does
+])
+def test_encode_unknown_word_is_id_of_error(tokens, unknown):
+    lex = Lexicon.from_sentences([["a", "b"]])
+    with pytest.raises(KeyError) as raised:
+        lex.id_of(unknown)
+    with pytest.raises(KeyError) as got:
+        lex.encode(tokens)
+    assert got.value.args == raised.value.args
+    assert "was the lexicon built from this corpus?" in got.value.args[0]
 
 
 @pytest.mark.parametrize(

@@ -320,6 +320,51 @@ def test_batch_sample_invariants():
     assert list(batch[:len(pos)]) == pos
 
 
+def _reference_batch(ids, i, lex, rng, window, n_noise, eta):
+    """build_occurrence_batch from the public channels, every negative
+    checked against all earlier ones, with no per-word memo."""
+    pos = positives(ids, i, window)
+    negs, seen = [], set()
+    for src, pairs in (
+        (CTX_NEG, context_negatives(ids, i, window, lex)),
+        (INWORD_NEG, inword_negatives(lex.word_of(ids[i]), lex)),
+        (NOISE_NEG, noise_negatives(ids[i], n_noise, rng, len(lex))),
+    ):
+        for pair in pairs:
+            if pair not in seen:
+                seen.add(pair)
+                negs.append((*pair, src))
+    w_neg = class_weights(len(pos), len(negs), eta)
+    return tuple(
+        [TrainingSample(t, o, CTX_POS, 1.0) for t, o in pos]
+        + [TrainingSample(t, o, src, w_neg) for t, o, src in negs]
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "ab", "ba", "aba", "abab", "bab"]),
+                      min_size=1, max_size=6), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 3),
+)
+def test_batches_with_the_inword_memo_equal_the_reference(sentences, window, n_noise):
+    # every occurrence twice: the second finds its word's in-word pairs in
+    # the memo the first filled; repeated pieces ("abab") repeat pairs
+    lex = Lexicon.from_sentences(sentences)
+    for _ in range(2):
+        for sent in sentences:
+            ids = _ids(lex, sent)
+            for i in range(len(ids)):
+                got = build_occurrence_batch(ids, i, lex, np.random.default_rng(i),
+                                             window=window, n_noise=n_noise)
+                want = _reference_batch(ids, i, lex, np.random.default_rng(i), window, n_noise, 0.2)
+                assert got == want
+                assert all(type(s) is TrainingSample for s in got)
+    assert set(lex._inword) <= set(range(len(lex)))
+    assert Lexicon.from_sentences(sentences)._inword == {}  # a memo per lexicon
+
+
 def test_sample_label_follows_its_channel():
     for source in (CTX_POS, CTX_NEG, INWORD_NEG, NOISE_NEG):
         sample = TrainingSample(0, 1, source, 1.0)

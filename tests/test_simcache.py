@@ -48,6 +48,13 @@ def test_build_cache_window_bound():
     assert set(cache.pairs()) == {tuple(sorted(p)) for p in zip(ids, ids[1:])}
 
 
+def test_build_cache_rejects_a_word_missing_from_the_lexicon():
+    lex, emb = _setup([["a", "b"]])
+    with pytest.raises(KeyError) as raised:
+        build_cache([["a", "b"], ["b", "zz"]], lex, emb)
+    assert raised.value.args == ("unknown word 'zz'; was the lexicon built from this corpus?",)
+
+
 def test_cached_values_equal_miss_path_bitwise():
     sent = [["a", "b", "c"], ["c", "a"]]
     lex, emb = _setup(sent)

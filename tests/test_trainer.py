@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from embseg.corpus import add_boundary_markers
+from embseg.corpus import BOS, add_boundary_markers
 from embseg.lexicon import Lexicon, SubsampleTable
 from embseg.sampler import (
     CTX_NEG,
@@ -139,31 +139,35 @@ def test_train_step_bitwise_equals_reference(dim):
     assert emb.tobytes() == ref.tobytes()
 
 
-def _reference_train(sentences, lexicon, config):
-    """The training loop written plainly around _reference_train_step (no
-    degenerate rows to repair): the rate decays from 0.025 to 1e-4."""
+def _reference_train(sentences, lexicon, config, step=_reference_train_step):
+    """The training loop written plainly around `step`, with id_of over
+    add_boundary_markers, the same rate schedule (0.025 decaying to 1e-4)
+    and the same repair sweeps.  Returns the table and the batch count."""
     rng = np.random.default_rng(config.seed)
     emb = init_embeddings(len(lexicon), config.dim, rng)
     table = SubsampleTable(lexicon, config.epsilon, config.mu)
     wrapped = [[lexicon.id_of(t) for t in add_boundary_markers(s)] for s in sentences]
     total = sum(len(ids) for ids in wrapped) * config.epochs
     processed = 0
+    batches = 0
     for _ in range(config.epochs):
         for ids in wrapped:
             draws = rng.random(len(ids))
             for i, wid in enumerate(ids):
-                frac = min(1.0, processed / total)
+                lr = 0.025 - (0.025 - 1e-4) * (processed / total)
                 processed += 1
                 if not (table.keep_override[wid] or draws[i] < table.p_sub[wid]):
                     continue
-                batch = build_occurrence_batch(
+                for sample in build_occurrence_batch(
                     ids, i, lexicon, rng,
                     window=config.window, n_noise=config.n_noise, eta=config.eta,
-                )
-                lr = 0.025 - (0.025 - 1e-4) * frac
-                for sample in batch:
-                    _reference_train_step(sample, emb, lr)
-    return emb
+                ):
+                    step(sample, emb, lr)
+                batches += 1
+                if batches % 1000 == 0:
+                    trainer._repair_rows(emb, rng, "sweep")
+    trainer._repair_rows(emb, rng, "final sweep")
+    return emb, batches
 
 
 @pytest.mark.parametrize("epsilon, epochs", [(1.0, 1), (2e-3, 2)])
@@ -174,7 +178,22 @@ def test_train_bitwise_equals_reference_loop(epsilon, epochs):
     lex = Lexicon.from_sentences(sentences)
     config = TrainerConfig(dim=12, seed=9, epsilon=epsilon, epochs=epochs)
     got = train(sentences, lex, config)
-    assert got.tobytes() == _reference_train(sentences, lex, config).tobytes()
+    assert got.tobytes() == _reference_train(sentences, lex, config)[0].tobytes()
+
+
+def test_train_bitwise_equals_public_reference_loop():
+    # the loop around the public train_step; a pinned hash of the table
+    # would not do, since BLAS dot kernels differ by CPU, so the same code
+    # writes different bits on different machines
+    lang = default_language()
+    sentences = corrupt(lang, generate_corpus(lang, 120, np.random.default_rng(4)), keep_every=3)
+    # a token spelling a marker and one carrying the escape prefix
+    sentences[5] = [sentences[5][0], BOS, "⟨⟨" + sentences[5][-1], *sentences[5][1:]]
+    lex = Lexicon.from_sentences(sentences)
+    config = TrainerConfig(dim=12, seed=11, epsilon=1.0, epochs=2)
+    want, batches = _reference_train(sentences, lex, config, step=train_step)
+    assert batches > 2 * trainer._SWEEP_EVERY
+    assert train(sentences, lex, config).tobytes() == want.tobytes()
 
 
 def test_train_step_zero_lr_is_a_no_op():
@@ -244,33 +263,25 @@ def test_train_step_calls_between_samples_leave_train_undisturbed():
     assert disturbed.tobytes() == train(sentences, lex, config).tobytes()
 
 
-def test_train_step_inside_a_step_leaves_train_undisturbed(monkeypatch):
-    # train's step calls _sigmoid after writing three of its four cells:
-    # a train_step run from there (as another thread could) must not
-    # write those cells
-    sentences, lex = _toy_corpus()
-    config = TrainerConfig(dim=16, seed=5, epsilon=1.0)
-    expected = train(sentences, lex, config).tobytes()
-    other = np.random.default_rng(0).normal(size=(3, 16))
-    sigmoid = trainer._sigmoid
-    nested = 0
+def test_each_step_closure_owns_its_scalar_cells():
+    # train's step runs no Python function between writing its cells and
+    # reading them; a train_step that another thread runs meanwhile stays
+    # off them only because every closure owns its four cells
+    def cells(step):
+        return {id(c.cell_contents) for c in step.__closure__
+                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == ()}
 
-    def interrupting(x):
-        nonlocal nested
-        if nested == 0:
-            nested += 1
-            train_step(TrainingSample(0, 2, CTX_NEG, 2.5), other, 0.7)
-            nested -= 1
-        return sigmoid(x)
-
-    monkeypatch.setattr(trainer, "_sigmoid", interrupting)
-    assert train(sentences, lex, config).tobytes() == expected
+    emb = np.ones((2, 3))
+    first, second = trainer._stepper(emb), trainer._stepper(list(emb))
+    assert len(cells(first)) == len(cells(second)) == 4
+    assert not cells(first) & cells(second)
 
 
 def test_train_rejects_tokens_missing_from_lexicon():
     sentences, lex = _toy_corpus()
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as raised:
         train(sentences + [["zz"]], lex, TrainerConfig(dim=8))
+    assert raised.value.args == ("unknown word 'zz'; was the lexicon built from this corpus?",)
 
 
 def test_embeddings_save_load_round_trip(tmp_path):
