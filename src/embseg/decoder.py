@@ -21,15 +21,20 @@ When the whole beam dies the search restarts with a larger beam and
 word-length bound, so every input eventually gets some segmentation (its
 baseline tokens, or single characters, in the worst case).  Round k
 searches with _BEAM_STEP * k more beam slots and _LEN_STEP * k more
-bound than round 0.  After round 0 fails, one pass over the lattice
-finds the tiling bound, the smallest word-length bound at which any
-tiling exists; a fragment with no tiling gives up at once.  Rounds below
-the tiling bound cannot succeed and are not run.  The last round is the
-fourth whose bound covers the whole fragment or the longest dictionary
-word: past that word a larger bound admits no new word, only the beam
-widens.  The tiling bound never exceeds that cover, so the rounds run
-are exactly those of the unskipped schedule that could succeed, and the
-output is the same.
+bound than round 0.  After round 0 fails, one pass over the fragment's
+`Lexicon.spans` finds the tiling bound, the smallest word-length bound
+at which any tiling exists; a fragment with no tiling gives up at once.
+Rounds below the tiling bound cannot succeed and are not run.  The last
+round is the fourth whose bound covers the whole fragment or the longest
+dictionary word: past that word a larger bound admits no new word, only
+the beam widens.  The tiling bound never exceeds that cover, so the
+rounds run are exactly those of the unskipped schedule that could
+succeed, and the output is the same.
+
+segment_sentence checks once per line, before any search, that the
+baseline tokens spell the line's fragments.  It cuts the baseline along
+the fragment boundaries only on a line where some fragment fell back,
+once for the whole line, and fills only the fragments that fell back.
 """
 from __future__ import annotations
 
@@ -100,17 +105,6 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
     return total / (len(seg) - 1)
 
 
-def _word_ids(fragment: str, lexicon: Lexicon) -> list[dict[int, int]]:
-    """The fragment's dictionary lattice: entry e maps each start s to the
-    id of the real word fragment[s:e], in ascending s, from
-    `Lexicon.spans`.  It holds words of every length; a search never
-    flushes one longer than its word-length bound."""
-    ends: list[dict[int, int]] = [{} for _ in range(len(fragment) + 1)]
-    for start, end, wid in lexicon.spans(fragment):
-        ends[end][start] = wid
-    return ends
-
-
 def _finals(
     fragment: str,
     lexicon: Lexicon,
@@ -142,7 +136,10 @@ def _finals(
     score_word = cache.mean_similarity
     eos = lexicon.id_of(EOS)
     n = len(fragment)
-    ends = _word_ids(fragment, lexicon)
+    # the lattice: ends[e] maps each start s to the id of the word fragment[s:e]
+    ends: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for start, end, wid in lexicon.spans(fragment):
+        ends[end][start] = wid
     beam = [((0, 1, (), (lexicon.id_of(BOS),)), 0, 0.0)]
     for p in range(n):
         flushable = ends[p]
@@ -210,14 +207,14 @@ def _min_tiling_len(fragment: str, lexicon: Lexicon) -> int | None:
     or None if no tiling exists at any bound.
 
     need[e] is the smallest possible longest word over the tilings of
-    fragment[:e].
+    fragment[:e].  The spans come in order of start, and every span that
+    ends at s starts before it, so need[s] is final when it is read.
     """
     n = len(fragment)
     never = n + 1
-    ends = _word_ids(fragment, lexicon)
-    need = [0]
-    for e in range(1, n + 1):
-        need.append(min((max(need[s], e - s) for s in ends[e]), default=never))
+    need = [0] + [never] * n
+    for s, e, _ in lexicon.spans(fragment):
+        need[e] = min(need[e], max(need[s], e - s))
     return need[n] if need[n] < never else None
 
 
@@ -251,17 +248,12 @@ def _decode_with_growth(
 def _carve_baseline(tokens: Sequence[str], frags: Sequence[str]) -> list[list[str]]:
     """Split baseline tokens along fragment boundaries.
 
-    Baseline output may keep punctuation as tokens, so delimiter characters
-    are dropped first; the remaining character stream must equal the
-    concatenated fragment text.
+    Baseline output may keep punctuation as tokens, so each token's
+    delimiter characters are dropped; segment_sentence has checked that
+    what remains spells the concatenated fragment text.
     """
-    joined = "".join(tokens)
     text = "".join(frags)
-    if strip_delimiters(joined) != text:
-        raise ValueError("baseline tokens do not cover the line's fragments")
-    if len(joined) != len(text):  # some tokens hold delimiters
-        tokens = list(map(strip_delimiters, tokens))
-    ends = list(accumulate(filter(None, map(len, tokens))))  # token ends, as offsets into text
+    ends = list(accumulate(filter(None, map(len, map(strip_delimiters, tokens)))))  # offsets into text
     out: list[list[str]] = []
     start = 0
     for frag in frags:
@@ -286,23 +278,22 @@ def segment_sentence(
 
     The output interleaves segmented fragments with the original delimiter
     runs, single-space separated; line count and delimiter bytes are
-    preserved exactly.  `counters`, when passed, accumulates "fragments"
-    and "fallbacks" tallies.
+    preserved exactly.  The baseline must spell the line's fragments,
+    delimiters aside; that is checked before any search, and the baseline
+    is cut only on a line with a fallback.  `counters`, when passed,
+    accumulates "fragments" and "fallbacks" tallies.
     """
     pieces = split_fragments(line)
     frags = fragment_texts(pieces)
-    base = _carve_baseline(baseline_tokens, frags) if baseline_tokens is not None else None
+    if baseline_tokens is not None and strip_delimiters("".join(baseline_tokens)) != "".join(frags):
+        raise ValueError("baseline tokens do not cover the line's fragments")
+    segmented = [_decode_with_growth(frag, lexicon, cache, params) for frag in frags]
+    failed = [i for i, words in enumerate(segmented) if words is None]
+    if failed:
+        base = _carve_baseline(baseline_tokens, frags) if baseline_tokens is not None else None
+        for i in failed:
+            segmented[i] = base[i] if base is not None else list(frags[i])
     if counters is not None:
-        counters.setdefault("fragments", 0)
-        counters.setdefault("fallbacks", 0)
-    segmented: list[list[str]] = []
-    for idx, frag in enumerate(frags):
-        words = _decode_with_growth(frag, lexicon, cache, params)
-        if words is None:
-            if counters is not None:
-                counters["fallbacks"] += 1
-            words = base[idx] if base is not None and base[idx] else list(frag)
-        segmented.append(words)
-    if counters is not None:
-        counters["fragments"] += len(frags)
+        counters["fragments"] = counters.get("fragments", 0) + len(frags)
+        counters["fallbacks"] = counters.get("fallbacks", 0) + len(failed)
     return reassemble(segmented, pieces)

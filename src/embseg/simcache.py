@@ -169,18 +169,16 @@ def build_cache(
         )
     cache = SimilarityCache(embeddings)
     v = cache.vocab_size
-    # `window` separators after each sentence: no pair spans a sentence
-    # end, and a block cut at one loses no pair
-    gap = [-1] * window
     blocks: list[np.ndarray] = []
-    ids: list[int] = []
+    block: list[list[int]] = []
+    size = 0
     for sent in sentences:
-        ids += lexicon.encode(sent)
-        ids += gap
-        if len(ids) >= _BLOCK:
-            blocks.append(_window_keys(ids, window, v))
-            ids = []
-    blocks.append(_window_keys(ids, window, v))
+        block.append(lexicon.encode(sent))
+        size += len(block[-1])
+        if size >= _BLOCK:
+            blocks.append(_window_keys(block, window, v))
+            block, size = [], 0
+    blocks.append(_window_keys(block, window, v))
     keys = _sorted_unique(np.concatenate(blocks))
     del blocks
     a, b = np.divmod(keys, v)
@@ -233,12 +231,21 @@ def _near_rows(bounds: list[int], b: np.ndarray, cos: np.ndarray) -> list[dict[i
     return near
 
 
-def _window_keys(ids: list[int], window: int, v: int) -> np.ndarray:
+def _window_keys(sents: list[list[int]], window: int, v: int) -> np.ndarray:
     """Sorted distinct packed keys of the pairs of unequal ids at most
-    `window` apart in `ids`; negative ids pair with nothing."""
+    `window` apart within one of `sents`."""
+    # no two ids of a sentence are further apart than its length less one,
+    # so the walk stops there whatever the window; as many separators
+    # after each sentence keep every pair inside one sentence
+    reach = min(window, max(map(len, sents), default=1) - 1)
+    gap = [-1] * reach
+    ids: list[int] = []
+    for sent in sents:
+        ids += sent
+        ids += gap
     arr = np.array(ids, dtype=np.int64)
     keys = [np.empty(0, dtype=np.int64)]
-    for k in range(1, window + 1):
+    for k in range(1, reach + 1):
         x, y = arr[:-k], arr[k:]
         keep = (x >= 0) & (y >= 0) & (x != y)
         x, y = x[keep], y[keep]

@@ -296,7 +296,12 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
             f"more than the file's {st.st_size} bytes can hold"
         )
     words: list[str] = []
-    emb = np.empty((V, d), dtype=np.float64)
+    try:  # the only check of a header that a pipe or a device announces
+        emb = np.empty((V, d), dtype=np.float64)
+    except (MemoryError, ValueError):  # numpy's too-big array is a ValueError
+        raise ValueError(
+            f"{path}:1: header announces {V} rows of {d} floats, more than can be allocated"
+        ) from None
     row = 0
     for lineno, line in enumerate(lines, start=2):
         parts = line.split(" ")

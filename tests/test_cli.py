@@ -668,6 +668,19 @@ def test_unwritable_train_output_fails_before_training(workdir, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_reports_a_failed_allocation_in_one_line(tmp_path):
+    # 10**15 floats per row is far past 2**48 bytes: no machine maps it
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\nb a c\n", encoding="utf-8")
+    rc, out, err = _run([
+        "train", "--corpus", str(corpus), "--dict", str(tmp_path / "d.tsv"),
+        "--emb", str(tmp_path / "e.txt"), "--no-cache", "--dim", "1000000000000000",
+    ])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+
 @pytest.mark.parametrize("stage", ["train", "build_cache"])
 def test_failed_train_leaves_no_new_artifact(workdir, tmp_path, monkeypatch, stage):
     def fail(*args, **kwargs):

@@ -484,8 +484,10 @@ def test_long_oov_fragment_falls_back_fast():
 
 def test_carve_baseline_drops_delimiters_and_splits():
     assert _carve_baseline(["a", "b。c", "d"], ["ab", "cd"]) == [["a", "b"], ["c", "d"]]
+    # segment_sentence checks the cover, before it decodes or cuts anything
+    lex = _make_lexicon(["a", "b", "c"])
     with pytest.raises(ValueError, match="cover"):
-        _carve_baseline(["ab"], ["abc"])
+        segment_sentence("abc", lex, _table_cache(lex), baseline_tokens=["ab"])
 
 
 def _reference_carve(tokens, frags):
@@ -507,13 +509,87 @@ def _reference_carve(tokens, frags):
     return out
 
 
+def _draw_fragments(tokens, data):
+    """The baseline's text, delimiters dropped, cut into drawn fragments."""
+    text = "".join(ch for ch in "".join(tokens) if is_word_char(ch))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(text) - 1)))) & set(range(1, len(text))))
+    return [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)]) if text[i:j]]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.text(alphabet="ab。 ", max_size=4), max_size=8), st.data())
 def test_carve_baseline_matches_reference(tokens, data):
-    text = "".join(ch for ch in "".join(tokens) if is_word_char(ch))
-    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(text) - 1)))) & set(range(1, len(text))))
-    frags = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)]) if text[i:j]]
+    frags = _draw_fragments(tokens, data)
     assert _carve_baseline(tokens, frags) == _reference_carve(tokens, frags)
+
+
+@pytest.mark.parametrize("word", ["q", "a"], ids=["tiles-nothing", "tiles-runs-of-a"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.text(alphabet="ab。 ", max_size=4), max_size=8), st.data())
+def test_fallbacks_take_their_baseline_cut(word, tokens, data):
+    # where the dictionary tiles nothing, each fragment takes its own
+    # share of the baseline: later fragments start at their offset into
+    # it; where it tiles runs of "a", only the fragments with a "b" do
+    frags = _draw_fragments(tokens, data)
+    runs = st.text(alphabet="。， ", min_size=1, max_size=3)
+    delims = [data.draw(runs) for _ in range(len(frags) + 1)]
+    for end in (0, -1):  # a line may start and end with a fragment or a delimiter run
+        if data.draw(st.booleans()):
+            delims[end] = ""
+    line = delims[0] + "".join(frag + delim for frag, delim in zip(frags, delims[1:]))
+    fallback = [set(frag) != {word} for frag in frags]  # a run of the one word decodes
+    words = iter(cut if fell else list(frag)
+                 for frag, cut, fell in zip(frags, _reference_carve(tokens, frags), fallback))
+    want = " ".join(
+        tok for frag, delim in zip(["", *frags], delims)
+        for tok in ((next(words) if frag else []) + ([delim] if delim else []))
+    )
+    lex = _make_lexicon([word])
+    counters = {}
+    out = segment_sentence(line, lex, _table_cache(lex), baseline_tokens=tokens, counters=counters)
+    assert out == want
+    assert counters == {"fragments": len(frags), "fallbacks": sum(fallback)}
+
+
+def test_a_line_with_no_fallback_is_never_cut(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cut the baseline of a line that decoded")
+
+    monkeypatch.setattr(decoder, "_carve_baseline", refuse)
+    lex = _make_lexicon(["a", "b", "ab"])
+    out = segment_sentence("ab，ab", lex, _table_cache(lex), baseline_tokens=["a", "b，", "ab"])
+    assert out == "ab ， ab"
+
+
+def test_a_misaligned_baseline_fails_before_any_search(monkeypatch):
+    calls = []
+
+    def counting_search(*args):
+        calls.append(args)
+        return beam_search(*args)
+
+    monkeypatch.setattr(decoder, "beam_search", counting_search)
+    lex = _make_lexicon(["a", "b", "ab"])
+    with pytest.raises(ValueError, match="cover"):
+        segment_sentence("ab，ab", lex, _table_cache(lex), baseline_tokens=["ab", "，", "ba"])
+    assert calls == []
+
+
+def test_a_line_that_falls_back_everywhere_is_cut_once(monkeypatch):
+    # cutting the baseline once per failed fragment would strip every
+    # token once per fragment: 400 x 200 calls here
+    real_strip, real_carve = decoder.strip_delimiters, decoder._carve_baseline
+    strips, carves = [], []
+    monkeypatch.setattr(decoder, "strip_delimiters", lambda text: strips.append(text) or real_strip(text))
+    monkeypatch.setattr(decoder, "_carve_baseline", lambda *args: carves.append(args) or real_carve(*args))
+    tokens = ["x", "y，"] * 200
+    lex = _make_lexicon(["q"])
+    counters = {}
+    out = segment_sentence("".join(tokens), lex, _table_cache(lex), baseline_tokens=tokens, counters=counters)
+    assert out == " ".join(tokens).replace("，", " ，")
+    assert counters == {"fragments": 200, "fallbacks": 200}
+    assert len(carves) == 1
+    assert len(strips) <= len(tokens) + 1  # each token once, and the cover check
 
 
 def test_fallback_carve_with_delimiters():

@@ -411,6 +411,18 @@ def test_build_matches_reference_walk_across_blocks(window, block, tmp_path, mon
     _assert_matches_reference(sent, window, tmp_path)
 
 
+def test_window_past_the_longest_sentence_walks_no_further():
+    # the walk once ran every distance up to the window and laid a window
+    # of separators after each sentence: 10**21 raised OverflowError
+    sent = [["a", "b", "c", "d", "e", "f"], ["g"]]
+    lex, emb = _setup(sent)
+    longest = max(len(s) for s in sent) + 2  # the markers included
+    want = build_cache(sent, lex, emb, window=longest).pairs()
+    # (BOS, f) and (a, EOS), 6 apart in the longest sentence only
+    assert len(want) == len(build_cache(sent, lex, emb, window=longest - 3).pairs()) + 2
+    assert build_cache(sent, lex, emb, window=10**21).pairs() == want
+
+
 @pytest.mark.parametrize("group", [1, 2, 7])
 def test_build_and_load_fill_rows_across_groups(group, tmp_path, monkeypatch):
     # the default group needs a table of more than 16k pairs; small groups

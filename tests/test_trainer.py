@@ -1,6 +1,8 @@
 """Objective terms, gradients, and the training loop."""
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -326,6 +328,21 @@ def test_load_embeddings_errors_name_file_and_line(tmp_path, text, line):
     p.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: "):
         load_embeddings(str(p))
+
+
+@pytest.mark.parametrize("rows", ["1000000000000", "1000000000000000000000"])
+def test_load_embeddings_names_a_header_it_cannot_allocate(tmp_path, rows):
+    # a pipe has no size to check the header against, so the allocation
+    # is the check: 10**12 rows of 1,000 floats is far past 2**48 bytes
+    # (numpy's MemoryError), and 10**21 rows past any array (its ValueError)
+    pipe = tmp_path / "emb.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_text(f"{rows} 1000\n"), daemon=True)
+    writer.start()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(pipe))}:1: header announces {rows} rows"):
+        load_embeddings(str(pipe))
+    writer.join(10)
+    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize(
