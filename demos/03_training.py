@@ -27,7 +27,7 @@ def nearest(lex: Lexicon, emb: np.ndarray, word: str, k: int = 5) -> list[tuple[
 def main() -> None:
     lang = default_language()
     gold = generate_corpus(lang, 3000, np.random.default_rng(0))
-    base = corrupt(lang, gold, keep_every=3)
+    base = corrupt(lang, gold)
     lex = Lexicon.from_sentences(base)
     emb = train(base, lex, TrainerConfig(dim=64, seed=0))
     print(f"trained {len(lex)} x {emb.shape[1]} embeddings "

@@ -32,7 +32,7 @@ from embseg import (
 def main() -> None:
     lang = default_language()
     gold = generate_corpus(lang, 2000, np.random.default_rng(1))
-    base = corrupt(lang, gold, keep_every=3)
+    base = corrupt(lang, gold)
     lex = Lexicon.from_sentences(base)
     emb = train(base, lex, TrainerConfig(dim=64, seed=1))
 

@@ -110,13 +110,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("train writes a cache file: pass --cache PATH or --no-cache")
     outputs = {"--dict": args.dict, "--emb": args.emb, "--cache": args.cache,
                "--dump-samples": args.dump_samples}
-    # resolved path -> the first flag naming it; no output may replace the corpus
-    first = {os.path.realpath(args.corpus): "--corpus"}
-    for flag, path in outputs.items():
-        if path:  # an empty path is rejected where its output is created
-            other = first.setdefault(os.path.realpath(path), flag)
-            if other != flag:
-                raise ValueError(f"{other} and {flag} name the same file: {path}")
+    _check_distinct({"--corpus": args.corpus}, outputs)
     seed = args.seed if args.seed is not None else time.time_ns() % (2**31)
     config = TrainerConfig(
         epsilon=args.epsilon, mu=args.mu, n_noise=args.neg, dim=args.dim,
@@ -148,6 +142,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                 )
 
         emb = train(sentences, lexicon, config, sample_sink=sink)
+        if not n_samples:
+            raise ValueError(
+                f"{args.corpus}: subsampling kept no target occurrence, so no sample was drawn; "
+                "a larger corpus or a larger --epsilon keeps more"
+            )
         lexicon.save(dict_tmp)
         save_embeddings(emb_tmp, lexicon, emb)
         cache_entries = None
@@ -166,6 +165,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     print(json.dumps(summary, ensure_ascii=False))
     return 0
+
+
+def _check_distinct(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:
+    """Fail when an output resolves to an input or to another output, so no
+    command replaces what it reads or writes one file twice.  Inputs may
+    share a file.  Absent and empty paths are skipped: an empty one is
+    rejected where it is read or created."""
+    first: dict[str, str] = {}  # resolved path -> the first flag naming it
+    for flag, path in inputs.items():
+        if path:
+            first.setdefault(os.path.realpath(path), flag)
+    for flag, path in outputs.items():
+        if path:
+            other = first.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise ValueError(f"{other} and {flag} name the same file: {path}")
 
 
 def _load_artifacts(args: argparse.Namespace) -> tuple[Lexicon, SimilarityCache]:
@@ -250,6 +265,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
     for flag, path in inputs.items():
         if path == "":  # never read as an absent --cache or --baseline
             raise ValueError(f"empty input path for {flag}")
+    # --out may rewrite --input in place, as `sort -o` does: the decoded
+    # lines spell the raw ones, and --out replaces its file only on success
+    _check_distinct({k: v for k, v in inputs.items() if k != "--input"}, {"--out": args.out})
     # the output is created before any input is read, so a bad --out fails first
     with _text_output(args.out) as fh, closing(_lines_in_step(args.input, args.baseline)) as pairs:
         lexicon, cache = _load_artifacts(args)
@@ -274,6 +292,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _check_distinct({"--gold": args.gold, "--baseline": args.baseline, "--input": args.input},
+                    {"--out": args.out})
     with _text_output(args.out) if args.out is not None else nullcontext(sys.stdout) as out:
         gold = _read_token_lines(args.gold)
         base = _read_aligned(args.baseline, args.gold, gold)

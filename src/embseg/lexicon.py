@@ -1,9 +1,15 @@
-"""Word dictionary with counts and the target-subsampling rules."""
+"""Word dictionary with counts and the target-subsampling rules.
+
+Each id's characters in running text are kept in one table, with "" for
+the boundary markers, which are tokens, not text.  The longest word, the
+prefix table behind `Lexicon.spans`, the keep override and the sampler's
+flank texts all read that table, so a marker is told from a real word in
+one place.
+"""
 from __future__ import annotations
 
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -31,8 +37,10 @@ class Lexicon:
         if len(self._index) != len(self._words):
             raise ValueError("duplicate word in lexicon")
         self.total_tokens = int(self._counts.sum())
-        # characters in the longest real word; the markers never occur in text
-        self.longest = max((len(w) for w in self._words if w not in MARKERS), default=0)
+        # each id's characters in running text: "" for the markers
+        self._texts = tuple("" if w in MARKERS else w for w in self._words)
+        # characters in the longest real word
+        self.longest = max(map(len, self._texts))
 
     @classmethod
     def from_sentences(cls, sentences: Iterable[list[str]]) -> "Lexicon":
@@ -54,25 +62,14 @@ class Lexicon:
         return self._counts
 
     @cached_property
-    def prefixes(self) -> Mapping[str, int]:
-        """Read-only map from every non-empty prefix of a real word to the
-        id of the word it spells, or -1 when it spells none.
-
-        The markers are not real words, so no key maps to a marker's id;
-        marker text spelled inside a real word is a prefix like any other.
-        A string that is not a key starts no word, so `spans` stops
-        extending at it.  Built on first use, so loading a dictionary does
-        not pay for it.
-        """
-        return MappingProxyType(self._prefix_ids)
-
-    @cached_property
     def _prefix_ids(self) -> dict[str, int]:
-        # the table behind `prefixes`; spans reads it directly, since a
-        # lookup through the read-only view costs about twice as much
+        # every non-empty prefix of a real word -> the id of the word it
+        # spells, or -1 when it spells none.  No key maps to a marker's id;
+        # marker text spelled inside a real word is a prefix like any other.
+        # Built on first use, so loading a dictionary does not pay for it.
         table: dict[str, int] = {}
-        for wid, word in enumerate(self._words):
-            if word in MARKERS:
+        for wid, word in enumerate(self._texts):
+            if not word:  # a marker
                 continue
             table[word] = wid
             for k in range(1, len(word)):
@@ -98,12 +95,6 @@ class Lexicon:
                 if wid >= 0:
                     out.append((start, end, wid))
         return out
-
-    @cached_property
-    def _texts(self) -> tuple[str, ...]:
-        # each id's characters in running text: "" for the markers, which
-        # are tokens, not text (sampler.context_negatives joins flanks here)
-        return tuple("" if w in MARKERS else w for w in self._words)
 
     @cached_property
     def _inword(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -194,15 +185,13 @@ class SubsampleTable:
         if mu <= 0:
             raise ValueError("mu must be positive")
         self.lexicon = lexicon
-        self.epsilon = epsilon
         self.mu = mu
         freqs = lexicon.counts / lexicon.total_tokens
         self.p_sub = np.minimum(1.0, np.sqrt(epsilon / freqs))
         self.keep_override = np.zeros(len(lexicon), dtype=bool)
-        for wid, word in enumerate(lexicon.words):
-            if word in MARKERS:
-                continue
-            self.keep_override[wid] = self._multichar_keep(word, wid)
+        for wid, word in enumerate(lexicon._texts):
+            if word:  # never a marker
+                self.keep_override[wid] = self._multichar_keep(word, wid)
 
     def subsample_prob(self, word: str) -> float:
         """Keep probability of a word, in (0, 1]."""

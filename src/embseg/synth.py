@@ -6,7 +6,7 @@ cue words, compound fillers, and the designated target words.  Each
 character of a target word is a frequent single in one of the background
 topics, but the two (or three) characters of one target always come from
 different topics, so outside the domain they never meet.  The fake
-baseline systematically splits the targets (keeping every keep_every-th
+baseline systematically splits the targets (keeping every KEEP_EVERY-th
 occurrence whole, so they still enter the dictionary); re-joining them
 requires exactly the contrast the embeddings are meant to learn, because
 the split pieces are words anchored in foreign contexts while the whole
@@ -34,6 +34,12 @@ __all__ = [
     "make_mixed_lines",
 ]
 
+COLLOCATION = 0.8                # cue -> target and target -> cue probability
+MERGE_COLLOCATION = 0.65         # first -> second probability inside merge pairs
+TRIPLE_RATE = 0.3                # per-position rate of cue/target triples in domain sentences
+TOPIC_WEIGHTS = (0.35, 0.35, 0.30)  # sentence share of topics A, B and the domain
+KEEP_EVERY = 3                   # corrupt keeps every third occurrence of a split target whole
+
 
 @dataclass(frozen=True)
 class ToyLanguage:
@@ -48,10 +54,6 @@ class ToyLanguage:
     cue_ends: tuple[str, ...]         # split_targets[k] strongly precedes cue_ends[k]
     split_targets: tuple[str, ...]    # words the corrupted baseline splits
     merge_pairs: tuple[tuple[str, str], ...] = ()  # adjacent pairs the baseline merges
-    collocation: float = 0.8          # cue -> target and target -> cue probability
-    merge_collocation: float = 0.65   # first -> second probability inside merge pairs
-    triple_rate: float = 0.3          # per-position rate of cue/target triples
-    topic_weights: tuple[float, float, float] = (0.35, 0.35, 0.30)
 
     def vocab(self) -> tuple[str, ...]:
         return (self.singles_a + self.singles_b + self.fillers_a + self.fillers_b
@@ -99,7 +101,7 @@ def generate_corpus(lang: ToyLanguage, n_sentences: int, rng: np.random.Generato
     Background topics draw singles and fillers; domain sentences mix
     domain fill with cue/target/cue triples (with dropout, so cues also
     occur alone).  Merge-pair heads attract their partner with
-    probability merge_collocation, so the merge bigrams are frequent.
+    probability MERGE_COLLOCATION, so the merge bigrams are frequent.
     Adjacent background draws never spell a vocabulary word across a
     token boundary, so the only join-or-split ambiguity in the corpus
     sits on the designated targets.
@@ -122,7 +124,7 @@ def generate_corpus(lang: ToyLanguage, n_sentences: int, rng: np.random.Generato
             return False
         return prev[-1] + nxt[0] not in two_char
 
-    topics = np.asarray(lang.topic_weights, dtype=np.float64)
+    topics = np.asarray(TOPIC_WEIGHTS, dtype=np.float64)
     topic_cdf = np.cumsum(topics / topics.sum())
     topic_cdf[-1] = 1.0
     n_kinds = len(lang.split_targets)
@@ -135,19 +137,19 @@ def generate_corpus(lang: ToyLanguage, n_sentences: int, rng: np.random.Generato
         sent: list[str] = []
         prev: str | None = None
         while len(sent) < n:
-            if topic == 2 and rng.random() < lang.triple_rate:
+            if topic == 2 and rng.random() < TRIPLE_RATE:
                 k = int(rng.integers(n_kinds))
                 sent.append(lang.cue_starts[k])
                 prev = lang.cue_starts[k]
-                if rng.random() < lang.collocation:
+                if rng.random() < COLLOCATION:
                     sent.append(lang.split_targets[k])
                     prev = lang.split_targets[k]
-                    if rng.random() < lang.collocation:
+                    if rng.random() < COLLOCATION:
                         sent.append(lang.cue_ends[k])
                         prev = lang.cue_ends[k]
                 continue
             pool = (pool_a, pool_b, pool_c)[topic]
-            if (prev in merge_succ and rng.random() < lang.merge_collocation
+            if (prev in merge_succ and rng.random() < MERGE_COLLOCATION
                     and clean(prev, merge_succ[prev])):
                 nxt = merge_succ[prev]
             else:
@@ -160,16 +162,14 @@ def generate_corpus(lang: ToyLanguage, n_sentences: int, rng: np.random.Generato
     return corpus
 
 
-def corrupt(lang: ToyLanguage, sentences: list[list[str]], keep_every: int = 3) -> list[list[str]]:
+def corrupt(lang: ToyLanguage, sentences: list[list[str]]) -> list[list[str]]:
     """Apply the fake baseline's systematic errors to a gold corpus.
 
     Every split target is broken into single characters except each
-    keep_every-th occurrence (counted per word across the corpus), which
+    KEEP_EVERY-th occurrence (counted per word across the corpus), which
     survives whole so the word still enters the dictionary.  Every
     adjacent merge pair is glued into one token.
     """
-    if keep_every < 2:
-        raise ValueError("keep_every must be >= 2")
     counters = {w: 0 for w in lang.split_targets}
     merge = dict(lang.merge_pairs)
     out: list[list[str]] = []
@@ -184,7 +184,7 @@ def corrupt(lang: ToyLanguage, sentences: list[list[str]], keep_every: int = 3) 
                 continue
             if w in counters:
                 counters[w] += 1
-                if counters[w] % keep_every == 0:
+                if counters[w] % KEEP_EVERY == 0:
                     toks.append(w)
                 else:
                     toks.extend(w)

@@ -41,7 +41,7 @@ def synth_setup():
     lang = default_language()
     rng = np.random.default_rng(2024)
     gold = generate_corpus(lang, 1000, rng)
-    base = corrupt(lang, gold, keep_every=3)
+    base = corrupt(lang, gold)
     lex = Lexicon.from_sentences(base)
     emb = train(base, lex, TrainerConfig(dim=64, seed=11))
     cache = build_cache(base, lex, emb)
@@ -198,7 +198,7 @@ def test_criterion_03_formula_spot_checks():
 
 def test_criterion_04_gradient_check():
     lang = default_language()
-    corpus = corrupt(lang, generate_corpus(lang, 400, np.random.default_rng(5)), keep_every=3)
+    corpus = corrupt(lang, generate_corpus(lang, 400, np.random.default_rng(5)))
     lex = Lexicon.from_sentences(corpus)
     srng = np.random.default_rng(6)
     by_source: dict[str, list] = {}
@@ -317,7 +317,7 @@ def test_criterion_09_end_to_end_improvement():
     for seed in range(1, 6):
         gold = generate_corpus(lang, 8000, np.random.default_rng(seed))
         assert 80_000 <= sum(len(s) for s in gold) <= 130_000
-        base = corrupt(lang, gold, keep_every=3)
+        base = corrupt(lang, gold)
         lex = Lexicon.from_sentences(base)
         emb = train(base, lex, TrainerConfig(seed=seed))  # stock defaults, 1 epoch
         cache = build_cache(base, lex, emb)

@@ -35,7 +35,7 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     lang = default_language()
     gold = generate_corpus(lang, 300, np.random.default_rng(123))
-    base = corrupt(lang, gold, keep_every=3)
+    base = corrupt(lang, gold)
     (root / "gold.txt").write_text(
         "".join(" ".join(s) + "\n" for s in gold), encoding="utf-8"
     )
@@ -288,6 +288,66 @@ def test_train_output_on_the_corpus_path_fails_before_any_output(tmp_path, flag)
     assert sorted(tmp_path.rglob("*")) == [corpus, out]
 
 
+@pytest.mark.parametrize("flag, spelling", [
+    ("--dict", "same"), ("--emb", "same"), ("--cache", "same"), ("--baseline", "same"),
+    ("--emb", "symlink"),
+])
+def test_segment_out_on_an_input_fails_before_any_file_is_read(trained, tmp_path, monkeypatch, flag, spelling):
+    # accepted, --emb e.txt --out e.txt replaced the embeddings with the decoded text
+    workdir, _ = trained
+    monkeypatch.setattr(cli, "_load_artifacts", _refuse("loaded the artifacts"))
+    monkeypatch.setattr(cli, "_lines_in_step", _refuse("read the input"))
+    for name in ("dict.tsv", "emb.txt", "sim.bin"):
+        (tmp_path / name).write_bytes((workdir / name).read_bytes())
+    raw, base = _two_lines(tmp_path)
+    argv = _segment_argv(tmp_path, raw, base, "")
+    path = Path(argv[argv.index(flag) + 1])
+    out = path
+    if spelling == "symlink":
+        out = tmp_path / "link"
+        out.symlink_to(path)
+    argv[argv.index("--out") + 1] = str(out)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    rc, stdout, err = _run(argv)
+    assert (rc, stdout) == (1, "")
+    assert err == f"error: {flag} and --out name the same file: {out}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("flag", ["--gold", "--baseline", "--input"])
+def test_report_out_on_an_input_fails_before_any_file_is_read(workdir, tmp_path, monkeypatch, flag):
+    # accepted, --gold g.txt --out g.txt replaced the gold file with the report
+    monkeypatch.setattr(cli, "_read_token_lines", _refuse("read an input"))
+    paths = {"--gold": tmp_path / "gold.txt", "--baseline": tmp_path / "base.txt",
+             "--input": tmp_path / "new.txt"}
+    for path in paths.values():
+        path.write_bytes((workdir / "gold.txt").read_bytes())
+    argv = ["report", "--min-count", "1", "--out", str(paths[flag])]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    rc, stdout, err = _run(argv)
+    assert (rc, stdout) == (1, "")
+    assert err == f"error: {flag} and --out name the same file: {paths[flag]}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_train_without_a_sample_fails_and_writes_nothing(tmp_path):
+    # accepted, printed "samples": 0 and saved the untrained initial table;
+    # subsampling keeps no occurrence of words as frequent as these
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c\nb a\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _train_argv(tmp_path, out)
+    argv[argv.index("--corpus") + 1] = str(corpus)
+    rc, stdout, err = _run(argv)
+    assert (rc, stdout) == (1, "")
+    assert err.startswith(f"error: {corpus}: ") and "no sample was drawn" in err
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 def test_segment_artifact_mismatch(workdir, trained, tmp_path):
     mini = tmp_path / "mini.txt"
     mini.write_text("天 地\n地 天\n", encoding="utf-8")
@@ -298,6 +358,7 @@ def test_segment_artifact_mismatch(workdir, trained, tmp_path):
         "--emb", str(tmp_path / "mini_emb.txt"),
         "--no-cache",
         "--dim", "8",
+        "--epsilon", "1",  # keeps every occurrence of so short a corpus
         "--seed", "1",
     ])
     assert rc == 0

@@ -30,29 +30,30 @@ def test_markers_counted_by_default():
 def test_longest_counts_real_words_only():
     assert Lexicon.from_sentences([["a", "b"]]).longest == 1
     assert Lexicon((BOS, EOS), (1, 1)).longest == 0
+    # the per-id text table it reads blanks the markers only, not marker text in a word
+    lex = Lexicon.from_sentences([["ab", "x⟨BOS⟩"]])
+    assert lex._texts == ("", "ab", "x⟨BOS⟩", "")
+    assert lex.longest == len("x⟨BOS⟩")
 
 
 def test_prefixes_map_every_prefix_of_a_real_word():
     lex = Lexicon.from_sentences([["ab", "abcd", "b"], ["⟨EOS⟩z", "x⟨BOS⟩"]])
-    assert dict(lex.prefixes) == {
+    assert lex._prefix_ids == {
         "a": -1, "ab": lex.id_of("ab"), "abc": -1, "abcd": lex.id_of("abcd"),
         "b": lex.id_of("b"),
         # marker text spelled inside real words is a prefix, never a word
         "⟨": -1, "⟨E": -1, "⟨EO": -1, "⟨EOS": -1, "⟨EOS⟩": -1, "⟨EOS⟩z": lex.id_of("⟨EOS⟩z"),
         "x": -1, "x⟨": -1, "x⟨B": -1, "x⟨BO": -1, "x⟨BOS": -1, "x⟨BOS⟩": lex.id_of("x⟨BOS⟩"),
     }
-    with pytest.raises(TypeError):
-        lex.prefixes["q"] = 0  # read-only
 
 
 def test_load_leaves_prefixes_unbuilt(tmp_path):
     path = str(tmp_path / "dict.tsv")
     Lexicon.from_sentences([["ab", "c"]]).save(path)
     lex = Lexicon.load(path)
-    assert "prefixes" not in vars(lex)  # built on first use, by the sampler or decoder
-    assert "_prefix_ids" not in vars(lex)
-    assert lex.prefixes["a"] == -1
-    assert "prefixes" in vars(lex)
+    assert "_prefix_ids" not in vars(lex)  # built on first use, by the sampler or decoder
+    assert lex.spans("ab") == [(0, 2, lex.id_of("ab"))]
+    assert lex._prefix_ids["a"] == -1
 
 
 # pieces that can spell a boundary marker inside a word or a text, and

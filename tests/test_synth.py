@@ -1,6 +1,5 @@
 """The toy-language generator and its corrupted baseline."""
 import numpy as np
-import pytest
 
 from embseg.synth import (
     corrupt,
@@ -71,7 +70,7 @@ def test_corpus_contains_targets_and_merge_bigrams():
 def test_corrupt_splits_with_keep_rule():
     lang = default_language()
     corpus = generate_corpus(lang, 2000, np.random.default_rng(2))
-    broken = corrupt(lang, corpus, keep_every=3)
+    broken = corrupt(lang, corpus)
     assert ["".join(s) for s in corpus] == ["".join(s) for s in broken]
 
     for target in lang.split_targets:
@@ -84,7 +83,7 @@ def test_corrupt_splits_with_keep_rule():
 def test_corrupt_merges_every_adjacent_pair():
     lang = default_language()
     corpus = generate_corpus(lang, 2000, np.random.default_rng(3))
-    broken = corrupt(lang, corpus, keep_every=3)
+    broken = corrupt(lang, corpus)
     for u, v in lang.merge_pairs:
         n_adj = sum(
             (a, b) == (u, v) for sent in corpus for a, b in zip(sent, sent[1:])
@@ -94,12 +93,6 @@ def test_corrupt_merges_every_adjacent_pair():
         assert n_merged == n_adj
         for sent in broken:
             assert not any((a, b) == (u, v) for a, b in zip(sent, sent[1:]))
-
-
-def test_corrupt_keep_every_validation():
-    lang = default_language()
-    with pytest.raises(ValueError):
-        corrupt(lang, [["大人"]], keep_every=1)
 
 
 def test_make_mixed_lines_shape_and_no_whitespace():

@@ -176,7 +176,7 @@ def _reference_train(sentences, lexicon, config, step=_reference_train_step):
 def test_train_bitwise_equals_reference_loop(epsilon, epochs):
     lang = default_language()
     rng = np.random.default_rng(3)
-    sentences = corrupt(lang, generate_corpus(lang, 150, rng), keep_every=3)
+    sentences = corrupt(lang, generate_corpus(lang, 150, rng))
     lex = Lexicon.from_sentences(sentences)
     config = TrainerConfig(dim=12, seed=9, epsilon=epsilon, epochs=epochs)
     got = train(sentences, lex, config)
@@ -188,7 +188,7 @@ def test_train_bitwise_equals_public_reference_loop():
     # would not do, since BLAS dot kernels differ by CPU, so the same code
     # writes different bits on different machines
     lang = default_language()
-    sentences = corrupt(lang, generate_corpus(lang, 120, np.random.default_rng(4)), keep_every=3)
+    sentences = corrupt(lang, generate_corpus(lang, 120, np.random.default_rng(4)))
     # a token spelling a marker and one carrying the escape prefix
     sentences[5] = [sentences[5][0], BOS, "⟨⟨" + sentences[5][-1], *sentences[5][1:]]
     lex = Lexicon.from_sentences(sentences)
