@@ -7,13 +7,17 @@ starts a fresh buffer.  Hypotheses are ranked by the mean, over flushed
 words, of the mean cosine between each word and up to `window` of its
 predecessors; the begin marker contributes nothing, the end marker is
 scored like a word.  A hypothesis's rank is computed once, when it
-flushes a word, and carried unchanged while its buffer grows.  Each
-search first indexes the fragment's dictionary lattice (the id of every
-real word fragment[s:e], from `Lexicon.spans`; a buffer never outgrows
-the word-length bound, so no longer word is flushed) and keeps each
-buffer as a start offset, so its inner loop builds no strings and looks
-up no text.  Each flushed word costs one `mean_similarity` call, so the
-cache counts one lookup per scored (word, predecessor) pair.
+flushes a word, and carried unchanged while its buffer grows.  A beam
+entry is one flat tuple (q, word_count, lengths, seg, start, total) whose
+four rank fields lead, so the sort at each character orders entries by
+rank alone and first compares q, the quantized score, as a small int
+(see _finals).  Each search first indexes the fragment's dictionary
+lattice (the id of every real word fragment[s:e], from `Lexicon.spans`;
+a buffer never outgrows the word-length bound, so no longer word is
+flushed) and keeps each buffer as a start offset, so its inner loop
+builds no strings and looks up no text.  Each flushed word costs one
+`mean_similarity` call, so the cache counts one lookup per scored (word,
+predecessor) pair.
 beam_search takes the beam size, word-length bound and window from one
 frozen BeamParams and returns (words, score), or None when the beam dies.
 
@@ -41,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from numbers import Integral
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -74,8 +79,11 @@ class BeamParams:
 
     def __post_init__(self) -> None:
         for name in ("beam_size", "max_word_len", "window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class Hypothesis(NamedTuple):
@@ -116,17 +124,22 @@ def _finals(
 
     Each character either extends a hypothesis's buffer (while it still
     fits max_word_len) or flushes the buffer as a dictionary word and opens
-    a fresh one.  A beam entry is (rank, start, total): its buffer is
-    fragment[start:p] at position p, and total sums the flushed words'
-    scores.  The rank is
+    a fresh one.  A beam entry is one flat tuple
 
-        (-round(score * 1e9), word_count, negated word lengths, seg)
+        (-round(score * 1e9), word_count, negated word lengths, seg, start, total)
 
-    and smaller ranks come first: the score, quantized so that differences
-    under 1e-9 tie, then fewer words, then longer early words, then the
-    word ids.  It depends on the flushed words only, so it is computed when
-    a word is flushed and carried while the buffer grows; at one position
-    the flushed words also fix the buffer, so no two entries share a rank.
+    whose first four fields are the rank: its buffer is fragment[start:p]
+    at position p, and total sums the flushed words' scores.  Smaller ranks
+    come first: the score, quantized so that differences under 1e-9 tie,
+    then fewer words, then longer early words, then the word ids.  The rank
+    depends on the flushed words only, so it is computed when a word is
+    flushed and carried while the buffer grows; at one position the flushed
+    words also fix the buffer, so no two entries share a rank, and sorting
+    the entries never compares start or total.  The rank fields lead the
+    entry itself, not a nested tuple, so the per-position sort compares
+    the quantized score, an int below 2**30 in magnitude, on list.sort's
+    small-int fast path.  A Hypothesis's rank has the same four fields,
+    taken at the close.
     A word is scored against the last `window` ids of seg, which starts
     with the begin marker.
     """
@@ -140,45 +153,43 @@ def _finals(
     ends: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for start, end, wid in lexicon.spans(fragment):
         ends[end][start] = wid
-    beam = [((0, 1, (), (lexicon.id_of(BOS),)), 0, 0.0)]
+    beam = [(0, 1, (), (lexicon.id_of(BOS),), 0, 0.0)]
     for p in range(n):
         flushable = ends[p]
         fits = p + 1 - max_word_len  # buffers starting here or later take one more character
         cands = []
         for entry in beam:
-            rank, start, total = entry
+            _, count, lens, seg, start, total = entry
             if start >= fits:
                 cands.append(entry)
             wid = flushable.get(start)
             if wid is not None:
-                seg = rank[3]
                 total += score_word(wid, seg[-window:])
-                count = rank[1]
                 cands.append((
-                    (-round(total / count * _SCORE_QUANTUM), count + 1, rank[2] + (start - p,), seg + (wid,)),
+                    -round(total / count * _SCORE_QUANTUM), count + 1, lens + (start - p,), seg + (wid,),
                     p, total,
                 ))
         if not cands:
             return []
-        cands.sort()  # ranks are unique, so this sorts by rank alone
-        beam = cands[:beam_size]
+        cands.sort()  # ranks are unique, so this sorts by the four rank fields alone
+        del cands[beam_size:]
+        beam = cands
     # Past the last character the buffer must close as a word, and the end
     # marker joins the segmentation as a scored word of its own.
     finals: list[Hypothesis] = []
     flushable = ends[n]
-    for rank, start, total in beam:
+    for _, count, lens, seg, start, total in beam:
         wid = flushable.get(start)
         if wid is None:
             continue
-        seg = rank[3]
         total += score_word(wid, seg[-window:])
         seg += (wid,)
         total += score_word(eos, seg[-window:])
         seg += (eos,)
-        count = rank[1] + 2
+        count += 2
         score = total / (count - 1)
         finals.append(Hypothesis(
-            seg, score, (-round(score * _SCORE_QUANTUM), count, rank[2] + (start - n,), seg),
+            seg, score, (-round(score * _SCORE_QUANTUM), count, lens + (start - n,), seg),
         ))
     return finals
 

@@ -96,11 +96,14 @@ def word_improvement_report(
     pred_new: Sequence[Sequence[str]],
     min_count: int = 10,
 ) -> list[WordImprovementRow]:
-    """Per-word precision of two systems against gold, sorted by improvement.
+    """Per-word recall of two systems against gold, sorted by improvement.
 
-    For each gold word type with at least min_count gold occurrences, a
-    system's precision is the fraction of those occurrences whose exact
-    span appears in the system's output.  Rows are sorted by delta
+    For each gold word type with at least min_count gold occurrences,
+    `precision_baseline` and `precision_new` hold the share of those
+    occurrences whose exact span appears in the system's output: that
+    word's recall, not its precision.  The names stay for now, because
+    the bench reads `precision_new` and the `report` TSV header, a
+    user-facing format, prints them.  Rows are sorted by delta
     descending, ties by word string.
     """
     check_aligned(gold, pred_baseline, "baseline")

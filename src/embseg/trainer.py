@@ -18,6 +18,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +60,10 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_noise", "dim", "window", "epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("epsilon", "mu", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -617,11 +617,31 @@ def test_segment_preserves_delimiters():
         {"max_word_len": 0},
         {"window": 0},
         {"beam_size": -3},
+        {"beam_size": 2.5},
+        {"max_word_len": 2.5},
+        {"max_word_len": 3.0},
+        {"window": 1.5},
+        {"beam_size": True},
     ],
 )
 def test_beam_params_validation(kwargs):
     # beam_search takes its options only as a BeamParams, so a bad option
-    # raises instead of reading as a dead beam, whose answer is None
+    # raises instead of reading as a dead beam, whose answer is None; a
+    # fractional max_word_len used to decode with a fractional bound, and a
+    # fractional beam_size or window to fail mid-search as a slice TypeError
     lex = _make_lexicon(["a", "b"])
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         beam_search("ab", lex, _table_cache(lex), BeamParams(**kwargs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_leading_rank_key_is_a_small_int(case):
+    # the score is a mean of cosines, so it lies in [-1, 1] and its quantized
+    # rank key in [-1e9, 1e9], below 2**30: list.sort then compares the
+    # leading key of each beam entry on its one-digit-int path.  A score that
+    # sums per-word terms is not bounded so and fails here.
+    fragment, lex, cache, params, _ = case
+    for h in _finals(fragment, lex, cache, params):
+        assert type(h.rank[0]) is int
+        assert abs(h.rank[0]) <= 10**9

@@ -367,3 +367,14 @@ def test_trainer_config_validation(kwargs):
     with pytest.raises(ValueError):
         TrainerConfig(**kwargs)
 
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, 2.5) for field in ("n_noise", "dim", "window", "epochs", "seed")]
+    + [("dim", 4.0), ("epochs", True)],
+)
+def test_trainer_config_rejects_non_integer_counts(field, value):
+    # a fractional count used to pass here and fail only mid-train with a TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        TrainerConfig(**{field: value})
