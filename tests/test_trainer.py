@@ -3,9 +3,11 @@ import math
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embseg.corpus import BOS, add_boundary_markers
 from embseg.lexicon import Lexicon, SubsampleTable
@@ -343,6 +345,158 @@ def test_load_embeddings_names_a_header_it_cannot_allocate(tmp_path, rows):
         load_embeddings(str(pipe))
     writer.join(10)
     assert not writer.is_alive()
+
+
+def _loaded(path):
+    """load_embeddings' words, shape and array bytes, or its error message."""
+    try:
+        words, emb = load_embeddings(path)
+    except ValueError as exc:
+        return str(exc)
+    return words, emb.shape, emb.tobytes()
+
+
+def _loaded_row_by_row(path):
+    """`_loaded` with numpy's reader failing, so every row goes through the
+    per-row loop."""
+    def fail(*args, **kwargs):
+        raise ValueError("numpy's reader is off")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", fail)
+        return _loaded(path)
+
+
+# words as save_embeddings writes them: no space or newline, valid UTF-8
+_EMB_WORD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n"),
+                    max_size=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(_EMB_WORD, st.lists(st.floats(width=64), min_size=d, max_size=d)),
+    min_size=1, max_size=5, unique_by=lambda row: row[0])))
+def test_saved_tables_load_alike_on_either_path(tmp_path_factory, rows):
+    words = [w for w, _ in rows]
+    emb = np.array([vec for _, vec in rows], dtype=np.float64)
+    path = str(tmp_path_factory.mktemp("emb") / "emb.txt")
+    save_embeddings(path, Lexicon(words, [1] * len(words)), emb)
+    got = _loaded(path)
+    assert got == _loaded_row_by_row(path)
+    if np.isfinite(emb).all():
+        assert got == (words, emb.shape, emb.tobytes())
+
+
+# spellings of a value that `float()` and numpy's reader might read apart
+_VALUE = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(width=64).map(lambda x: f"{x:.17g}"),
+    st.floats(width=64).map(lambda x: f"{x:e}"),
+    st.floats(width=64).map(lambda x: f"{x:+E}"),
+    st.sampled_from(["-0.0", "+0", ".5", "5.", "1e", "1_0", "١", "٣.٥", "0x1p3", "",
+                     "inf", "-inf", "nan", "Infinity", "1e400", "4.9e-324"]),
+)
+_AROUND = st.sampled_from(["", "", "", "\t", "\xa0", "\x1c", "\x1f", "\r", "\x0b", " "])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.lists(st.tuples(_EMB_WORD, st.lists(st.tuples(_AROUND, _VALUE, _AROUND), min_size=1,
+                                            max_size=4),
+                       st.sampled_from(["", "", "\r", " "])),
+             min_size=1, max_size=4),
+    st.integers(-1, 1),
+    st.booleans(),
+)
+def test_hand_made_rows_load_alike_on_either_path(tmp_path_factory, d, rows, v_off, blank):
+    body = "".join(
+        w + "".join(" " + pre + val + post for pre, val, post in cells) + end + "\n"
+        for w, cells, end in rows
+    )
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    header = f"{max(len(rows) + v_off, 1)} {d}\n"
+    path.write_bytes((header + body + ("\n" if blank else "")).encode())
+    assert _loaded(str(path)) == _loaded_row_by_row(str(path))
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("1 2\nw 0.5 0.25\n\n", ":3", "expected a word and 2 floats"),
+    ("1 1\n", "", "header announces 1 rows, found 0"),
+    ("2 2\nw 0.5 abc\nv 0.5\n", ":2", "could not convert string to float: 'abc'"),
+    ("1 2\nw 0.5 0.25 \n", ":2", "expected a word and 2 floats"),
+    ("1 1\nw \n", ":2", "could not convert string to float: ''"),
+    ("2 2\nw 0.5 0.25\n", "", "header announces 2 rows, found 1"),
+    ("1 1\nw 0.5\nv 0.25\n", ":3", "more rows than the header announces"),
+    ("2 2\nw 0.5\nv 0.25\n", ":2", "expected a word and 2 floats"),
+    ("1 1\nw 0.5\x1c\n", ":2", "could not convert string to float: '0.5\\x1c'"),
+], ids=["blank-line-after-last-row", "empty-body", "bad-float-before-short-row", "trailing-space",
+        "trailing-space-only-column", "one-row-short", "one-row-too-many", "every-row-short",
+        "x1c-after-value"])
+def test_load_embeddings_reports_the_first_bad_line(tmp_path, text, where, message):
+    # a fast path that trusted numpy's reader gets each of these wrong: numpy
+    # skips a blank row, warns "input contained no data" on an empty body,
+    # words its own errors, and strips \x1c around a value
+    p = tmp_path / "emb.txt"
+    p.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            load_embeddings(str(p))
+    assert str(raised.value) == f"{p}{where}: {message}"
+
+
+def _saved_table(tmp_path):
+    _, lex = _toy_corpus()
+    emb = init_embeddings(len(lex), 6, np.random.default_rng(8))
+    emb[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    path = tmp_path / "emb.txt"
+    save_embeddings(str(path), lex, emb)
+    return path, list(lex.words), emb
+
+
+def test_saved_embeddings_load_without_the_per_row_loop(tmp_path, monkeypatch):
+    # the writer's own format takes numpy's reader: a silent fall to the
+    # per-row loop would be a slow path nobody sees
+    path, words, emb = _saved_table(tmp_path)
+
+    def fail(*args):
+        raise AssertionError("the per-row loop ran")
+
+    monkeypatch.setattr(trainer, "_parse_rows", fail)
+    got_words, got = load_embeddings(str(path))
+    assert got_words == words and got.tobytes() == emb.tobytes()
+
+
+def test_crlf_and_pipe_bodies_load_through_the_per_row_loop(tmp_path, monkeypatch):
+    path, words, emb = _saved_table(tmp_path)
+    loops = []
+    parse_rows = trainer._parse_rows
+
+    def counted(path, lines, table):
+        loops.append(path)
+        return parse_rows(path, lines, table)
+
+    monkeypatch.setattr(trainer, "_parse_rows", counted)
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    got_words, got = load_embeddings(str(crlf))
+    assert loops == [str(crlf)]
+    assert got_words == words and got.tobytes() == emb.tobytes()
+
+    def no_numpy(*args, **kwargs):
+        raise AssertionError("a pipe was given to numpy's reader")
+
+    monkeypatch.setattr(np, "loadtxt", no_numpy)
+    pipe = tmp_path / "emb.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    got_words, got = load_embeddings(str(pipe))
+    writer.join(10)
+    assert not writer.is_alive()
+    assert loops == [str(crlf), str(pipe)]
+    assert got_words == words and got.tobytes() == emb.tobytes()
 
 
 @pytest.mark.parametrize(
