@@ -5,6 +5,10 @@ data: word embeddings are trained on the baseline's own output with
 segmentation-aware positive and negative sampling, and text is then
 re-segmented by a beam decoder that ranks dictionary-constrained
 hypotheses by embedding coherence.
+
+The names exported here are the calls that the command line, the demos,
+the bench or the README's library example make, and the types those
+calls return.  Everything else in the modules is internal.
 """
 from .corpus import (
     BOS,
@@ -17,36 +21,13 @@ from .corpus import (
     reassemble,
     split_fragments,
 )
-from .decoder import BeamParams, Hypothesis, beam_search, segment_sentence
-from .evaluate import AlignmentError, EvalReport, WordImprovementRow, score, word_improvement_report, word_spans
+from .decoder import BeamParams, beam_search, segment_sentence
+from .evaluate import AlignmentError, EvalReport, WordImprovementRow, score, word_improvement_report
 from .lexicon import Lexicon, SubsampleTable
-from .sampler import (
-    TrainingSample,
-    build_occurrence_batch,
-    class_weights,
-    context_negatives,
-    inword_negatives,
-    noise_negatives,
-    positives,
-)
+from .sampler import TrainingSample, build_occurrence_batch
 from .simcache import SimilarityCache, build_cache, load_cache, save_cache
-from .synth import (
-    ToyLanguage,
-    corrupt,
-    default_language,
-    generate_corpus,
-    make_mixed_lines,
-)
-from .trainer import (
-    TrainerConfig,
-    init_embeddings,
-    load_embeddings,
-    pair_score,
-    sample_loss,
-    save_embeddings,
-    train,
-    train_step,
-)
+from .synth import ToyLanguage, corrupt, default_language, generate_corpus
+from .trainer import TrainerConfig, load_embeddings, save_embeddings, train
 
 __version__ = "0.1.0"
 
@@ -61,7 +42,6 @@ __all__ = [
     "reassemble",
     "split_fragments",
     "BeamParams",
-    "Hypothesis",
     "beam_search",
     "segment_sentence",
     "AlignmentError",
@@ -69,16 +49,10 @@ __all__ = [
     "WordImprovementRow",
     "score",
     "word_improvement_report",
-    "word_spans",
     "Lexicon",
     "SubsampleTable",
     "TrainingSample",
     "build_occurrence_batch",
-    "class_weights",
-    "context_negatives",
-    "inword_negatives",
-    "noise_negatives",
-    "positives",
     "SimilarityCache",
     "build_cache",
     "load_cache",
@@ -87,14 +61,9 @@ __all__ = [
     "corrupt",
     "default_language",
     "generate_corpus",
-    "make_mixed_lines",
     "TrainerConfig",
-    "init_embeddings",
     "load_embeddings",
-    "pair_score",
-    "sample_loss",
     "save_embeddings",
     "train",
-    "train_step",
     "__version__",
 ]

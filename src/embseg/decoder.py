@@ -55,8 +55,6 @@ from .simcache import SimilarityCache
 
 __all__ = [
     "BeamParams",
-    "Hypothesis",
-    "recompute_mean_logp",
     "beam_search",
     "segment_sentence",
 ]
@@ -95,22 +93,6 @@ class Hypothesis(NamedTuple):
 
 
 _carried_rank = attrgetter("rank")
-
-
-def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int) -> float:
-    """Reference scorer: evaluate a full segmentation from scratch.
-
-    Used to verify that the incremental score kept by the beam matches a
-    batch recomputation; it sums plain similarity calls, so it does not
-    share the beam's mean_similarity.
-    """
-    if len(seg) < 2:
-        return 0.0
-    total = 0.0
-    for i in range(1, len(seg)):
-        preds = seg[max(0, i - window):i]
-        total += sum(cache.similarity(seg[i], p) for p in preds) / len(preds)
-    return total / (len(seg) - 1)
 
 
 def _finals(

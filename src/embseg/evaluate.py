@@ -8,7 +8,6 @@ __all__ = [
     "AlignmentError",
     "EvalReport",
     "WordImprovementRow",
-    "word_spans",
     "check_aligned",
     "score",
     "word_improvement_report",
@@ -29,6 +28,8 @@ class AlignmentError(ValueError):
 
 @dataclass(frozen=True)
 class EvalReport:
+    """What `score` returns: word precision, recall and F, and their counts."""
+
     precision: float
     recall: float
     f_measure: float
@@ -39,6 +40,8 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class WordImprovementRow:
+    """One gold word's row of `word_improvement_report`."""
+
     word: str
     gold_count: int
     precision_baseline: float

@@ -109,6 +109,7 @@ class Lexicon:
         return word in self._index
 
     def id_of(self, word: str) -> int:
+        """The id of `word`; an unknown word is a KeyError."""
         try:
             return self._index[word]
         except KeyError:
@@ -125,6 +126,7 @@ class Lexicon:
             raise _unknown(exc.args[0]) from None
 
     def word_of(self, wid: int) -> str:
+        """The word with id `wid`."""
         return self._words[wid]
 
     def save(self, path: str) -> None:
@@ -176,7 +178,9 @@ class SubsampleTable:
     summed keep probabilities of the distinct real words spelled by its
     proper substrings (`Lexicon.spans`), N being their number.  Marker
     tokens are atomic symbols: they never receive the override and never
-    count as a word's part, even where a word spells one.
+    count as a word's part, even where a word spells one.  Both are
+    arrays indexed by word id: `p_sub` holds the keep probabilities and
+    `keep_override` the override.
     """
 
     def __init__(self, lexicon: Lexicon, epsilon: float = 1e-5, mu: float = 0.5):
@@ -192,14 +196,6 @@ class SubsampleTable:
         for wid, word in enumerate(lexicon._texts):
             if word:  # never a marker
                 self.keep_override[wid] = self._multichar_keep(word, wid)
-
-    def subsample_prob(self, word: str) -> float:
-        """Keep probability of a word, in (0, 1]."""
-        return float(self.p_sub[self.lexicon.id_of(word)])
-
-    def multichar_keep(self, word: str) -> bool:
-        """True when the multi-character override applies to this word."""
-        return bool(self.keep_override[self.lexicon.id_of(word)])
 
     def _multichar_keep(self, word: str, wid: int) -> bool:
         # distinct ids of the proper-substring spans, in span order, so the

@@ -36,11 +36,6 @@ __all__ = [
     "INWORD_NEG",
     "NOISE_NEG",
     "TrainingSample",
-    "positives",
-    "context_negatives",
-    "inword_negatives",
-    "noise_negatives",
-    "class_weights",
     "build_occurrence_batch",
 ]
 

@@ -45,6 +45,8 @@ _MAGIC = b"WCSC"
 _VERSION = 2
 _DIGEST_SIZE = 32
 _HEADER = struct.Struct(f"<IQ{_DIGEST_SIZE}s")  # after magic and version
+# a row norm below this is a zero vector: SimilarityCache rejects the row,
+# and the trainer redraws it at init and repair, so a trained table loads
 _MIN_NORM = 1e-12
 _ENTRY = np.dtype([("a", "<u4"), ("b", "<u4"), ("cos", "<f4")])
 _CHUNK = 128  # pairs per cosine batch: small, so the gathered rows do not raise peak memory
@@ -147,6 +149,7 @@ class SimilarityCache:
         return total / n
 
     def hit_rate(self) -> float:
+        """hits / (hits + misses), or 0.0 before any lookup."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 

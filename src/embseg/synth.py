@@ -31,7 +31,6 @@ __all__ = [
     "default_language",
     "generate_corpus",
     "corrupt",
-    "make_mixed_lines",
 ]
 
 COLLOCATION = 0.8                # cue -> target and target -> cue probability
@@ -43,6 +42,8 @@ KEEP_EVERY = 3                   # corrupt keeps every third occurrence of a spl
 
 @dataclass(frozen=True)
 class ToyLanguage:
+    """The word groups of a toy language, one tuple per role."""
+
     singles_a: tuple[str, ...]        # frequent single-character words, topic A
     singles_b: tuple[str, ...]        # frequent single-character words, topic B
     fillers_a: tuple[str, ...]        # opaque multi-character words, topic A
@@ -56,6 +57,7 @@ class ToyLanguage:
     merge_pairs: tuple[tuple[str, str], ...] = ()  # adjacent pairs the baseline merges
 
     def vocab(self) -> tuple[str, ...]:
+        """The words of every group, in field order; merge_pairs adds none."""
         return (self.singles_a + self.singles_b + self.fillers_a + self.fillers_b
                 + self.domain_chars + self.domain_halves + self.domain_compounds
                 + self.cue_starts + self.cue_ends + self.split_targets)
@@ -193,27 +195,3 @@ def corrupt(lang: ToyLanguage, sentences: list[list[str]]) -> list[list[str]]:
             i += 1
         out.append(toks)
     return out
-
-
-_MIXED_CJK = "的了在是有人我他你大小上中不也就山水天地春风秋雨东西南北红绿高长"
-_MIXED_ASCII = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_MIXED_DIGITS = "0123456789０１２３４５６７８９"
-_MIXED_DELIMS = "。，！？、；：（）.,!?;:()[]「」…·«»~"
-
-
-def make_mixed_lines(n: int, rng: np.random.Generator) -> list[str]:
-    """Raw mixed-script lines for round-trip checks: CJK, ASCII words,
-    digits (halfwidth and fullwidth), and delimiter runs, but no literal
-    whitespace, so that removing the separators the pipeline inserts
-    recovers each line byte for byte."""
-    pools = (_MIXED_CJK, _MIXED_ASCII, _MIXED_DIGITS, _MIXED_DELIMS)
-    lines: list[str] = []
-    for _ in range(n):
-        n_runs = int(rng.integers(1, 9))
-        parts: list[str] = []
-        for _ in range(n_runs):
-            pool = pools[int(rng.integers(len(pools)))]
-            length = int(rng.integers(1, 7))
-            parts.append("".join(pool[int(rng.integers(len(pool)))] for _ in range(length)))
-        lines.append("".join(parts))
-    return lines

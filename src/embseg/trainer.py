@@ -9,7 +9,8 @@ geometry identical to the metric the decoder ranks hypotheses with.
 calls per token and per pair: `Lexicon.encode` maps the corpus to ids
 once, the step reads row views made once per training run and unpacks
 each sample once, and the sampler builds its samples in C.  The result
-is bit for bit that of `train_step` applied to each sample in turn.
+is bit for bit that of one `_stepper(table)` step per sample in turn,
+each indexing the table per call.
 """
 from __future__ import annotations
 
@@ -26,13 +27,10 @@ import numpy as np
 from .corpus import read_lines
 from .lexicon import Lexicon, SubsampleTable
 from .sampler import CTX_POS, TrainingSample, build_occurrence_batch
+from .simcache import _MIN_NORM
 
 __all__ = [
     "TrainerConfig",
-    "init_embeddings",
-    "pair_score",
-    "sample_loss",
-    "train_step",
     "train",
     "save_embeddings",
     "load_embeddings",
@@ -40,7 +38,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_MIN_NORM = 1e-12
 _SWEEP_EVERY = 1000  # occurrence batches between finiteness sweeps
 _LR_START = 0.025    # learning rate at the first token position
 _LR_END = 1e-4       # learning rate approached at the last one
@@ -93,36 +90,16 @@ def init_embeddings(vocab_size: int, dim: int, rng: np.random.Generator) -> np.n
         table[bad] = rng.uniform(-bound, bound, size=(int(bad.sum()), dim))
 
 
-def pair_score(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two vectors; zero vectors are a domain error."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < _MIN_NORM or nv < _MIN_NORM:
-        raise ValueError("cosine undefined for a zero vector")
-    return float(np.dot(u, v)) / (nu * nv)
-
-
-def _log_sigmoid(x: float) -> float:
-    # stable for both signs
-    if x >= 0:
-        return -math.log1p(math.exp(-x))
-    return x - math.log1p(math.exp(x))
-
-
-def sample_loss(sample: TrainingSample, emb: np.ndarray) -> float:
-    """Weighted log-sigmoid objective term of one sample.
-
-    Positives score log(sigmoid(cos)), negatives log(sigmoid(-cos)); the
-    term is maximized during training.
-    """
-    cos = pair_score(emb[sample.target], emb[sample.other])
-    sign = 1.0 if sample.source == CTX_POS else -1.0
-    return sample.weight * _log_sigmoid(sign * cos)
-
-
 def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], None]:
     """A train step on `rows[id]` that owns four 0-d float64 cells for its
     scalars.
+
+    One step is a gradient-ascent update on the two rows a sample
+    touches: d/dcos of weight*log(sigmoid(s*cos)) is
+    weight*s*sigmoid(-s*cos), and dcos/du = v/(|u||v|) - cos*u/|u|^2
+    (symmetrically for v).  Both deltas are computed from the pre-step
+    rows, then applied in place through the row views (when target ==
+    other both land on the same row, in the same order).
 
     `rows` is the table itself, indexed per call, or `list(table)`, its row
     views made once: both are views of the same memory.  numpy scales a
@@ -130,7 +107,7 @@ def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], No
     converts on every call; the IEEE products are the same.  So the step
     writes its scalars into the cells and scales through them.  Each
     closure has cells of its own: two trainings, or a training and a
-    train_step call, never write each other's.
+    step made for another table, never write each other's.
     """
     inv_c = np.empty(())   # 1 / (|u| |v|)
     cu_c = np.empty(())    # cos / |u|^2
@@ -173,19 +150,6 @@ def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], No
         v += dv
 
     return step
-
-
-def train_step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
-    """One gradient-ascent update on the two rows touched by `sample`.
-
-    d/dcos of weight*log(sigmoid(s*cos)) is weight*s*sigmoid(-s*cos), and
-    dcos/du = v/(|u||v|) - cos*u/|u|^2 (symmetrically for v).  Both deltas
-    are computed from the pre-step rows, then applied in place through
-    the row views (when target == other both land on the same row, in the
-    same order).  This is the step `train` runs, here indexing `emb` per
-    call and with fresh scalar cells for this call.
-    """
-    _stepper(emb)(sample, lr)
 
 
 def _repair_rows(emb: np.ndarray, rng: np.random.Generator, where: str) -> None:

@@ -19,7 +19,7 @@ from embseg.corpus import (
     reassemble,
     split_fragments,
 )
-from embseg.decoder import BeamParams, _finals, beam_search, recompute_mean_logp, segment_sentence
+from embseg.decoder import BeamParams, _finals, beam_search, segment_sentence
 from embseg.evaluate import score, word_improvement_report
 from embseg.lexicon import Lexicon, SubsampleTable
 from embseg.sampler import (
@@ -29,8 +29,9 @@ from embseg.sampler import (
     inword_negatives,
 )
 from embseg.simcache import SimilarityCache, build_cache, load_cache, save_cache
-from embseg.synth import corrupt, default_language, generate_corpus, make_mixed_lines
-from embseg.trainer import TrainerConfig, init_embeddings, sample_loss, train, train_step
+from embseg.synth import corrupt, default_language, generate_corpus
+from embseg.trainer import TrainerConfig, init_embeddings, train
+from oracles import make_mixed_lines, recompute_mean_logp, sample_loss, train_step
 
 
 # ---------------------------------------------------------------- fixtures
@@ -185,14 +186,14 @@ def test_criterion_02_context_negative_oracle():
 def test_criterion_03_formula_spot_checks():
     lex = Lexicon(("one", "four", "filler"), (1, 4, 99995))
     table = SubsampleTable(lex)
-    assert table.subsample_prob("one") == 1.0
-    assert table.subsample_prob("four") == 0.5
+    assert table.p_sub[lex.id_of("one")] == 1.0
+    assert table.p_sub[lex.id_of("four")] == 0.5
     assert class_weights(1, 4, 0.2) == 0.375
 
     hand = Lexicon(("但是", "但", "是", "口"), (1600, 6400, 10000, 1582000))
-    assert SubsampleTable(hand).multichar_keep("但是") is False
+    assert SubsampleTable(hand).keep_override[hand.id_of("但是")].item() is False
     hand2 = Lexicon(("但是", "但", "是", "口"), (160000, 6400, 10000, 1423600))
-    assert SubsampleTable(hand2).multichar_keep("但是") is True
+    assert SubsampleTable(hand2).keep_override[hand2.id_of("但是")].item() is True
     print("criterion 3: subsampling, class weight, and keep-rule spot checks hold")
 
 

@@ -25,7 +25,7 @@ from embseg.corpus import (
     strip_delimiters,
     unescape_token,
 )
-from embseg.synth import make_mixed_lines
+from oracles import make_mixed_lines
 
 
 def test_split_fragments_example():

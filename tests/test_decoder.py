@@ -18,12 +18,12 @@ from embseg.decoder import (
     _finals,
     _min_tiling_len,
     beam_search,
-    recompute_mean_logp,
     segment_sentence,
 )
 from embseg.lexicon import Lexicon
 from embseg.simcache import SimilarityCache
 from embseg.trainer import init_embeddings
+from oracles import recompute_mean_logp
 
 
 def _make_lexicon(words):

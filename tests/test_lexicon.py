@@ -160,10 +160,11 @@ def _flat_lexicon() -> Lexicon:
 
 
 def test_subsample_formula_exact_points():
-    table = SubsampleTable(_flat_lexicon())
-    assert table.subsample_prob("one") == 1.0
-    assert table.subsample_prob("four") == 0.5
-    assert table.subsample_prob("filler") < 0.005
+    lex = _flat_lexicon()
+    table = SubsampleTable(lex)
+    assert table.p_sub[lex.id_of("one")] == 1.0
+    assert table.p_sub[lex.id_of("four")] == 0.5
+    assert table.p_sub[lex.id_of("filler")] < 0.005
 
 
 def test_subsample_validation():
@@ -180,24 +181,26 @@ def _danshi_lexicon(danshi: int, filler: int) -> Lexicon:
 
 def test_multichar_keep_hand_cases():
     # frequent enough to be kept often on its own: no override
-    table = SubsampleTable(_danshi_lexicon(1600, 1582000))
-    assert table.subsample_prob("但是") == pytest.approx(0.1, rel=1e-12)
-    assert table.subsample_prob("但") == pytest.approx(0.05, rel=1e-12)
-    assert table.subsample_prob("是") == pytest.approx(0.04, rel=1e-12)
+    lex = _danshi_lexicon(1600, 1582000)
+    table = SubsampleTable(lex)
+    assert table.p_sub[lex.id_of("但是")] == pytest.approx(0.1, rel=1e-12)
+    assert table.p_sub[lex.id_of("但")] == pytest.approx(0.05, rel=1e-12)
+    assert table.p_sub[lex.id_of("是")] == pytest.approx(0.04, rel=1e-12)
     # threshold is mu / 2 * (0.05 + 0.04) = 0.0225 and 0.1 is not below it
-    assert table.multichar_keep("但是") is False
+    assert table.keep_override[lex.id_of("但是")].item() is False
 
     # a hundred times more frequent: its own keep probability sinks below
-    table2 = SubsampleTable(_danshi_lexicon(160000, 1423600))
-    assert table2.subsample_prob("但是") == pytest.approx(0.01, rel=1e-12)
-    assert table2.multichar_keep("但是") is True
+    lex2 = _danshi_lexicon(160000, 1423600)
+    table2 = SubsampleTable(lex2)
+    assert table2.p_sub[lex2.id_of("但是")] == pytest.approx(0.01, rel=1e-12)
+    assert table2.keep_override[lex2.id_of("但是")].item() is True
 
 
 def test_multichar_keep_needs_known_substrings():
     lex = Lexicon(("但是", "口"), (1, 999))
     table = SubsampleTable(lex)
-    assert table.multichar_keep("但是") is False
-    assert table.multichar_keep("口") is False  # single characters never qualify
+    assert table.keep_override[lex.id_of("但是")].item() is False
+    assert table.keep_override[lex.id_of("口")].item() is False  # single characters never qualify
 
 
 def test_markers_are_atomic():
@@ -206,12 +209,12 @@ def test_markers_are_atomic():
         (400000, 4, 4, 400000, 4, 4, 3199988),
     )
     table = SubsampleTable(lex)
-    assert table.multichar_keep("ab") is True  # override fires for a real word
-    assert table.multichar_keep(BOS) is False  # markers never qualify
+    assert table.keep_override[lex.id_of("ab")].item() is True  # override fires for a real word
+    assert table.keep_override[lex.id_of(BOS)].item() is False  # markers never qualify
 
 
 def test_multichar_keep_never_counts_a_marker_as_a_part():
     # counted as a part, the end marker's keep probability raised the
     # threshold above q⟨EOS⟩'s own; its one real part is q
     lex = Lexicon((BOS, EOS, "q⟨EOS⟩", "q", "filler"), (1000, 1000, 40, 5, 97955))
-    assert SubsampleTable(lex).multichar_keep("q⟨EOS⟩") is True
+    assert SubsampleTable(lex).keep_override[lex.id_of("q⟨EOS⟩")].item() is True

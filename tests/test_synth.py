@@ -1,12 +1,8 @@
 """The toy-language generator and its corrupted baseline."""
 import numpy as np
 
-from embseg.synth import (
-    corrupt,
-    default_language,
-    generate_corpus,
-    make_mixed_lines,
-)
+from embseg.synth import corrupt, default_language, generate_corpus
+from oracles import make_mixed_lines
 
 
 def test_vocabulary_size_and_uniqueness():

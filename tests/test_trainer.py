@@ -25,12 +25,10 @@ from embseg.trainer import (
     TrainerConfig,
     init_embeddings,
     load_embeddings,
-    pair_score,
-    sample_loss,
     save_embeddings,
     train,
-    train_step,
 )
+from oracles import pair_score, sample_loss, train_step
 
 
 def _toy_corpus():
@@ -186,9 +184,9 @@ def test_train_bitwise_equals_reference_loop(epsilon, epochs):
 
 
 def test_train_bitwise_equals_public_reference_loop():
-    # the loop around the public train_step; a pinned hash of the table
-    # would not do, since BLAS dot kernels differ by CPU, so the same code
-    # writes different bits on different machines
+    # the loop around the oracle train_step, which runs train's own step; a
+    # pinned hash of the table would not do, since BLAS dot kernels differ by
+    # CPU, so the same code writes different bits on different machines
     lang = default_language()
     sentences = corrupt(lang, generate_corpus(lang, 120, np.random.default_rng(4)))
     # a token spelling a marker and one carrying the escape prefix
