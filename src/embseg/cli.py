@@ -87,13 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_token_lines(path: str) -> list[list[str]]:
-    return list(read_token_lines(path))
-
-
 def _read_aligned(path: str, gold_path: str, gold: list[list[str]]) -> list[list[str]]:
     """The token lines of a system output, checked against the gold file."""
-    lines = _read_token_lines(path)
+    lines = list(read_token_lines(path))
     try:
         check_aligned(gold, lines)
     except AlignmentError as exc:
@@ -141,12 +137,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                     f"\t{sample.label}\t{sample.source}\t{sample.weight!r}\n"
                 )
 
-        emb = train(sentences, lexicon, config, sample_sink=sink)
-        if not n_samples:
-            raise ValueError(
-                f"{args.corpus}: subsampling kept no target occurrence, so no sample was drawn; "
-                "a larger corpus or a larger --epsilon keeps more"
-            )
+        try:
+            emb = train(sentences, lexicon, config, sample_sink=sink)
+        except ValueError as exc:
+            raise ValueError(f"{args.corpus}: {exc}") from None
         lexicon.save(dict_tmp)
         save_embeddings(emb_tmp, lexicon, emb)
         cache_entries = None
@@ -283,7 +277,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold = _read_token_lines(args.gold)
+    gold = list(read_token_lines(args.gold))
     pred = _read_aligned(args.input, args.gold, gold)
     report = score(gold, pred)
     print(f"{report.precision:.6f}\t{report.recall:.6f}\t{report.f_measure:.6f}")
@@ -295,7 +289,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     _check_distinct({"--gold": args.gold, "--baseline": args.baseline, "--input": args.input},
                     {"--out": args.out})
     with _text_output(args.out) if args.out is not None else nullcontext(sys.stdout) as out:
-        gold = _read_token_lines(args.gold)
+        gold = list(read_token_lines(args.gold))
         base = _read_aligned(args.baseline, args.gold, gold)
         new = _read_aligned(args.input, args.gold, gold)
         rows = word_improvement_report(gold, base, new, min_count=args.min_count)

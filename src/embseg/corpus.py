@@ -28,7 +28,6 @@ __all__ = [
     "read_token_lines",
     "read_segmented_corpus",
     "escape_token",
-    "unescape_token",
     "add_boundary_markers",
 ]
 
@@ -162,17 +161,11 @@ def escape_token(token: str) -> str:
     """Rename tokens that would collide with a boundary marker.
 
     Prepends "⟨⟨" to the markers themselves and to tokens already carrying
-    that prefix; the map is injective, so unescape_token inverts it for
-    every input.
+    that prefix; the map is injective, so dropping one leading "⟨⟨"
+    inverts it for every input.
     """
     if token in MARKERS or token.startswith(_ESCAPE):
         return _ESCAPE + token
-    return token
-
-
-def unescape_token(token: str) -> str:
-    if token.startswith(_ESCAPE):
-        return token[len(_ESCAPE):]
     return token
 
 

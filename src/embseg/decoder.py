@@ -7,33 +7,31 @@ starts a fresh buffer.  Hypotheses are ranked by the mean, over flushed
 words, of the mean cosine between each word and up to `window` of its
 predecessors; the begin marker contributes nothing, the end marker is
 scored like a word.  A hypothesis's rank is computed once, when it
-flushes a word, and carried unchanged while its buffer grows.  A beam
-entry is one flat tuple (q, word_count, lengths, seg, start, total) whose
-four rank fields lead, so the sort at each character orders entries by
-rank alone and first compares q, the quantized score, as a small int
-(see _finals).  Each search first indexes the fragment's dictionary
-lattice (the id of every real word fragment[s:e], from `Lexicon.spans`;
-a buffer never outgrows the word-length bound, so no longer word is
-flushed) and keeps each buffer as a start offset, so its inner loop
-builds no strings and looks up no text.  Each flushed word costs one
-`mean_similarity` call, so the cache counts one lookup per scored (word,
-predecessor) pair.
+flushes a word, and carried unchanged while its buffer grows; _finals
+gives the layout of the beam entries that carry it.  Each search first
+indexes the fragment's dictionary lattice (the id of every real word
+fragment[s:e], from `Lexicon.spans`; a buffer never outgrows the
+word-length bound, so no longer word is flushed) and keeps each buffer
+as a start offset, so its inner loop builds no strings and looks up no
+text.  Each flushed word costs one `mean_similarity` call, so the cache
+counts one lookup per scored (word, predecessor) pair.
 beam_search takes the beam size, word-length bound and window from one
 frozen BeamParams and returns (words, score), or None when the beam dies.
 
 When the whole beam dies the search restarts with a larger beam and
 word-length bound, so every input eventually gets some segmentation (its
-baseline tokens, or single characters, in the worst case).  Round k
-searches with _BEAM_STEP * k more beam slots and _LEN_STEP * k more
-bound than round 0.  After round 0 fails, one pass over the fragment's
-`Lexicon.spans` finds the tiling bound, the smallest word-length bound
-at which any tiling exists; a fragment with no tiling gives up at once.
-Rounds below the tiling bound cannot succeed and are not run.  The last
-round is the fourth whose bound covers the whole fragment or the longest
-dictionary word: past that word a larger bound admits no new word, only
-the beam widens.  The tiling bound never exceeds that cover, so the
-rounds run are exactly those of the unskipped schedule that could
-succeed, and the output is the same.
+baseline tokens, or single characters, in the worst case).  Each growth
+round is named by its word-length bound m, one more than the round
+before, and searches a beam _BEAM_STEP * (m - m0) slots wider than the
+first search, whose bound was m0.  After the first search fails, one
+pass over the fragment's `Lexicon.spans` finds the tiling bound, the
+smallest word-length bound at which any tiling exists; a fragment with
+no tiling gives up at once.  Rounds below the tiling bound cannot
+succeed and are not run.  The last round is the fourth whose bound
+covers the whole fragment or the longest dictionary word: past that word
+a larger bound admits no new word, only the beam widens.  The tiling
+bound never exceeds that cover, so the rounds run are exactly those of
+the unskipped schedule that could succeed, and the output is the same.
 
 segment_sentence checks once per line, before any search, that the
 baseline tokens spell the line's fragments.  It cuts the baseline along
@@ -46,7 +44,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from numbers import Integral
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .corpus import BOS, EOS, fragment_texts, reassemble, split_fragments, strip_delimiters
@@ -62,9 +59,8 @@ __all__ = [
 # scores closer than 1e-9 are ties and fall through to the structural keys
 _SCORE_QUANTUM = 1e9
 
-# each growth round after a dead beam widens the beam and the word-length bound by these
+# each growth round after a dead beam widens the beam by this much per step of the bound
 _BEAM_STEP = 10
-_LEN_STEP = 1
 
 
 @dataclass(frozen=True)
@@ -85,14 +81,14 @@ class BeamParams:
 
 
 class Hypothesis(NamedTuple):
-    """A closed segmentation, as _finals lists them."""
+    """A closed segmentation, as _finals lists them: the four rank fields
+    of the beam entry it closes, then its score."""
 
+    q: int
+    word_count: int
+    lens: tuple[int, ...]
     seg: tuple[int, ...]  # word ids, begin and end markers included
     score: float          # mean of the per-word scores after the begin marker
-    rank: tuple           # sort key, see _finals
-
-
-_carried_rank = attrgetter("rank")
 
 
 def _finals(
@@ -120,8 +116,9 @@ def _finals(
     the entries never compares start or total.  The rank fields lead the
     entry itself, not a nested tuple, so the per-position sort compares
     the quantized score, an int below 2**30 in magnitude, on list.sort's
-    small-int fast path.  A Hypothesis's rank has the same four fields,
-    taken at the close.
+    small-int fast path.  A Hypothesis leads with the same four fields,
+    taken at the close, and ends with the score, so the smallest
+    Hypothesis is the best one and comparing two never reaches the score.
     A word is scored against the last `window` ids of seg, which starts
     with the begin marker.
     """
@@ -170,9 +167,7 @@ def _finals(
         seg += (eos,)
         count += 2
         score = total / (count - 1)
-        finals.append(Hypothesis(
-            seg, score, (-round(score * _SCORE_QUANTUM), count, lens + (start - n,), seg),
-        ))
+        finals.append(Hypothesis(-round(score * _SCORE_QUANTUM), count, lens + (start - n,), seg, score))
     return finals
 
 
@@ -191,7 +186,7 @@ def beam_search(
     finals = _finals(fragment, lexicon, cache, params)
     if not finals:
         return None
-    best = min(finals, key=_carried_rank)
+    best = min(finals)
     return [lexicon.word_of(i) for i in best.seg[1:-1]], best.score
 
 
@@ -224,15 +219,12 @@ def _decode_with_growth(
     if tiling is None:
         return None  # every round of the schedule would fail
     k0, m0 = params.beam_size, params.max_word_len
-    # round k searches at bound m0 + k * _LEN_STEP, so -((m0 - b) // _LEN_STEP)
-    # is the first round whose bound reaches b; run from the first round that
-    # reaches the tiling bound through the fourth that covers the fragment or
-    # the longest word
-    first = max(1, -((m0 - tiling) // _LEN_STEP))
-    covered = max(0, -((m0 - min(len(fragment), lexicon.longest)) // _LEN_STEP))
-    for k in range(first, covered + 4):
+    # from the first bound that reaches the tiling bound through the fourth
+    # that covers the fragment or the longest word
+    cover = max(m0, min(len(fragment), lexicon.longest))
+    for m in range(max(m0 + 1, tiling), cover + 4):
         res = beam_search(fragment, lexicon, cache, replace(
-            params, beam_size=k0 + k * _BEAM_STEP, max_word_len=m0 + k * _LEN_STEP))
+            params, beam_size=k0 + _BEAM_STEP * (m - m0), max_word_len=m))
         if res is not None:
             return res[0]
     return None

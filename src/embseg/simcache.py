@@ -58,8 +58,9 @@ _NO_PAIRS: dict[int, float] = {}  # the row of every id without a pair; never mu
 class SimilarityCache:
     """Cosine scorer over word ids with an optional precomputed pair table.
 
-    `pairs` maps id pairs (a, b), a < b, to finite cosines; `near[a]`
-    holds them as {b: cosine} in ascending b.  hits and misses count every
+    `pairs` maps id pairs (a, b), a < b, to cosines in [-1, 1]; `near[a]`
+    holds them rounded to single precision as {b: cosine} in ascending b,
+    the values a cache file holds.  hits and misses count every
     query, so they always sum to the total number of lookups.
 
     Not for concurrent use from threads: the counters and the rounding
@@ -85,9 +86,11 @@ class SimilarityCache:
                     raise ValueError(f"pair ({a}, {b}) is not ids a < b < {v}")
                 if not math.isfinite(val):
                     raise ValueError(f"pair ({a}, {b}, {val!r}): non-finite cosine")
+                if not -1 <= val <= 1:
+                    raise ValueError(f"pair ({a}, {b}, {val!r}): cosine outside [-1, 1]")
                 if self.near[a] is _NO_PAIRS:
                     self.near[a] = {}
-                self.near[a][ids[b]] = val
+                self.near[a][ids[b]] = float(np.float32(val))
         self.hits = 0
         self.misses = 0
         # a computed cosine is rounded to single precision by a store into

@@ -43,7 +43,7 @@ _LR_START = 0.025    # learning rate at the first token position
 _LR_END = 1e-4       # learning rate approached at the last one
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
     """Sampling, objective, and schedule hyperparameters: the `train` flags."""
 
@@ -178,7 +178,9 @@ def train(
     the lexicon are an error.  The learning rate decays linearly from
     0.025 towards 1e-4 over all token positions of all epochs.  The result
     is a deterministic function of the corpus, lexicon, and config.
-    Returns the V x dim table.
+    Returns the V x dim table.  Raises ValueError when subsampling keeps
+    no target occurrence, so that no sample is drawn and the table would
+    be its untrained initial state.
 
     sample_sink, when given, receives every generated TrainingSample in
     order; used for audit dumps.
@@ -190,9 +192,6 @@ def train(
     wrapped = list(map(lexicon.encode, sentences))
 
     total_positions = sum(map(len, wrapped)) * config.epochs
-    if total_positions == 0:
-        return emb
-
     # row views made once: _repair_rows writes the table in place, so they
     # stay views of the rows being trained
     step = _stepper(list(emb))
@@ -223,6 +222,11 @@ def train(
                     if not np.isfinite(emb).all():
                         raise FloatingPointError("non-finite embedding entries")
             processed += len(ids)
+    if not batches:
+        raise ValueError(
+            "subsampling kept no target occurrence, so no sample was drawn; "
+            "a larger corpus or a larger epsilon keeps more"
+        )
 
     _repair_rows(emb, rng, "final sweep")
     if not np.isfinite(emb).all():

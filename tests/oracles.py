@@ -3,9 +3,9 @@
 Each is the straightforward form of something the library computes
 faster or never needs: the objective's cosine and loss terms, one
 training step on a fresh table, a segmentation's score recomputed from
-scratch, and raw mixed-script lines for round-trip checks.  They live
-here, beside the tests that check the library against them, and not in
-the package's public surface.
+scratch, the inverse of the marker escape, and raw mixed-script lines
+for round-trip checks.  They live here, beside the tests that check the
+library against them, and not in the package's public surface.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from embseg.corpus import _ESCAPE
 from embseg.sampler import CTX_POS, TrainingSample
 from embseg.simcache import _MIN_NORM, SimilarityCache
 from embseg.trainer import _stepper
@@ -73,6 +74,13 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
         preds = seg[max(0, i - window):i]
         total += sum(cache.similarity(seg[i], p) for p in preds) / len(preds)
     return total / (len(seg) - 1)
+
+
+def unescape_token(token: str) -> str:
+    """Inverse of `corpus.escape_token`: drop one leading escape prefix."""
+    if token.startswith(_ESCAPE):
+        return token[len(_ESCAPE):]
+    return token
 
 
 _MIXED_CJK = "的了在是有人我他你大小上中不也就山水天地春风秋雨东西南北红绿高长"

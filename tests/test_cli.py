@@ -317,7 +317,7 @@ def test_segment_out_on_an_input_fails_before_any_file_is_read(trained, tmp_path
 @pytest.mark.parametrize("flag", ["--gold", "--baseline", "--input"])
 def test_report_out_on_an_input_fails_before_any_file_is_read(workdir, tmp_path, monkeypatch, flag):
     # accepted, --gold g.txt --out g.txt replaced the gold file with the report
-    monkeypatch.setattr(cli, "_read_token_lines", _refuse("read an input"))
+    monkeypatch.setattr(cli, "read_token_lines", _refuse("read an input"))
     paths = {"--gold": tmp_path / "gold.txt", "--baseline": tmp_path / "base.txt",
              "--input": tmp_path / "new.txt"}
     for path in paths.values():
@@ -750,7 +750,9 @@ def test_failed_train_leaves_no_new_artifact(workdir, tmp_path, monkeypatch, sta
     monkeypatch.setattr(cli, stage, fail)
     (tmp_path / "emb.txt").write_text("old\n", encoding="utf-8")
     rc, out, err = _run(_train_argv(workdir, tmp_path))
-    assert (rc, out, err) == (1, "", f"error: {stage} failed\n")
+    # a training error is about the corpus, so it names the corpus file
+    where = f"{workdir / 'base.txt'}: " if stage == "train" else ""
+    assert (rc, out, err) == (1, "", f"error: {where}{stage} failed\n")
     assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
     assert (tmp_path / "emb.txt").read_text(encoding="utf-8") == "old\n"
 
@@ -896,7 +898,7 @@ def test_token_line_reader_keeps_blank_lines_and_one_object_per_word(tmp_path):
     path = tmp_path / "gold.txt"
     text = "今天 天气\n\n天气  今天\n \t\n今天\n"
     path.write_text(text, encoding="utf-8")
-    lines = cli._read_token_lines(str(path))
+    lines = list(cli.read_token_lines(str(path)))
     assert lines == [line.split() for line in text.split("\n")[:-1]]
     assert lines[1] == lines[3] == []
     assert lines[0][0] is lines[2][1] is lines[4][0]

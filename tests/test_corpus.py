@@ -23,9 +23,8 @@ from embseg.corpus import (
     reassemble,
     split_fragments,
     strip_delimiters,
-    unescape_token,
 )
-from oracles import make_mixed_lines
+from oracles import make_mixed_lines, unescape_token
 
 
 def test_split_fragments_example():

@@ -131,7 +131,7 @@ def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
         count = h.word_count + 2
         total = h.sum_logp + logp_w + logp_e
         finals.append(Hypothesis(
-            seg, total / (count - 1), _flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg),
+            *_flushed_rank(total, count, h.rank[2] + (-len(h.buf),), seg), total / (count - 1),
         ))
     if not finals:
         return None, finals
@@ -274,7 +274,7 @@ def test_growth_terminates_without_retry_cap():
     assert segment_sentence("zz", lex, cache, BeamParams()) == "z z"
 
 
-def _reference_growth(fragment, lex, cache, params, beam_step, len_step):
+def _reference_growth(fragment, lex, cache, params, beam_step):
     """The growth schedule with every round run, none skipped; a failed
     round counts as covering once its bound reaches the fragment's length
     or the longest word.  Returns the words and the (beam_size,
@@ -292,7 +292,7 @@ def _reference_growth(fragment, lex, cache, params, beam_step, len_step):
             if covered_failures >= 4:
                 return None, rounds
         k += beam_step
-        m += len_step
+        m += 1
 
 
 @st.composite
@@ -314,16 +314,16 @@ def _decode_cases(draw):
         max_word_len=draw(st.integers(1, 3)),
         window=draw(st.integers(1, 4)),
     )
-    # small growth steps, so that pruning after growth is exercised
-    steps = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    return fragment, lex, cache, params, steps
+    # a small growth step, so that pruning after growth is exercised
+    beam_step = draw(st.integers(1, 3))
+    return fragment, lex, cache, params, beam_step
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_decode_cases())
 def test_growth_skipping_matches_every_round(case):
-    fragment, lex, cache, params, (beam_step, len_step) = case
-    want, every_round = _reference_growth(fragment, lex, cache, params, beam_step, len_step)
+    fragment, lex, cache, params, beam_step = case
+    want, every_round = _reference_growth(fragment, lex, cache, params, beam_step)
     # round 0, then the rounds whose bound reaches the tiling bound, up to
     # the fourth covered failure
     tiling = _min_tiling_len(fragment, lex)
@@ -335,7 +335,6 @@ def test_growth_skipping_matches_every_round(case):
         return beam_search(fragment, lexicon, cache, params)
 
     with mock.patch.object(decoder, "_BEAM_STEP", beam_step), \
-            mock.patch.object(decoder, "_LEN_STEP", len_step), \
             mock.patch.object(decoder, "beam_search", recording_search):
         assert _decode_with_growth(fragment, lex, cache, params) == want
     assert searched == want_rounds
@@ -354,7 +353,7 @@ def test_carried_rank_equals_recomputed(case):
             assert c.rank == _rank_key(c)
         beam = sorted(cands, key=_rank_key)[:params.beam_size]
     for h in _finals(fragment, lex, cache, params):
-        assert h.rank == _final_rank_key(h, lex)
+        assert h[:4] == _final_rank_key(h, lex)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -643,5 +642,5 @@ def test_leading_rank_key_is_a_small_int(case):
     # sums per-word terms is not bounded so and fails here.
     fragment, lex, cache, params, _ = case
     for h in _finals(fragment, lex, cache, params):
-        assert type(h.rank[0]) is int
-        assert abs(h.rank[0]) <= 10**9
+        assert type(h.q) is int
+        assert abs(h.q) <= 10**9

@@ -110,7 +110,7 @@ def _scoring_cases(draw):
     pairs = {}
     for a, b in draw(st.lists(st.tuples(st.integers(0, v - 2), st.integers(1, v - 1)), max_size=12)):
         if a < b:
-            plain = st.floats(-2.0, 2.0, allow_nan=False)
+            plain = st.floats(-1.0, 1.0)
             pairs[a, b] = draw(plain) if draw(st.booleans()) else exact.similarity(a, b)
     a = draw(st.integers(0, v - 1))
     others = draw(st.lists(st.just(a) | st.integers(0, v - 1), min_size=1, max_size=6))
@@ -306,6 +306,30 @@ def test_constructor_rejects_non_finite_cosine(value):
     _, emb = _setup([["a", "b"]])
     with pytest.raises(ValueError, match=r"\(0, 1, .*\): non-finite cosine"):
         SimilarityCache(emb, {(0, 2): 0.25, (0, 1): value})
+
+
+def test_constructor_rejects_cosine_outside_unit_interval(tmp_path):
+    # accepted, save_cache wrote a file that load_cache refuses
+    emb = np.eye(3)
+    for value in (1.5, -1.0000001):
+        with pytest.raises(ValueError, match=r"\(0, 1, .*\): cosine outside \[-1, 1\]"):
+            SimilarityCache(emb, {(0, 1): value})
+    path = tmp_path / "sim.bin"
+    save_cache(str(path), SimilarityCache(emb, {(0, 1): 1.0, (0, 2): -1.0}))
+    assert load_cache(str(path), emb).pairs() == {(0, 1): 1.0, (0, 2): -1.0}
+
+
+def test_constructor_stores_single_precision_cosines(tmp_path):
+    # a hand-set 0.1 was held as the double 0.1 and loaded back as
+    # 0.10000000149011612; build_cache and load_cache hold float32 values
+    emb = np.eye(3)
+    cache = SimilarityCache(emb, {(0, 1): 0.1})
+    rounded = float(np.float32(0.1))
+    assert cache.pairs() == {(0, 1): rounded}
+    assert cache.similarity(1, 0) == rounded
+    path = tmp_path / "sim.bin"
+    save_cache(str(path), cache)
+    assert load_cache(str(path), emb).pairs() == cache.pairs()
 
 
 @pytest.mark.parametrize("window", [0, -2])

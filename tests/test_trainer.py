@@ -1,4 +1,5 @@
 """Objective terms, gradients, and the training loop."""
+import dataclasses
 import math
 import os
 import re
@@ -277,6 +278,26 @@ def test_each_step_closure_owns_its_scalar_cells():
     first, second = trainer._stepper(emb), trainer._stepper(list(emb))
     assert len(cells(first)) == len(cells(second)) == 4
     assert not cells(first) & cells(second)
+
+
+@pytest.mark.parametrize("sentences", [[["的", "的"], ["的"]], []], ids=["frequent-words", "empty"])
+def test_train_without_a_sample_raises(sentences):
+    # returned the untrained initial table: subsampling keeps no occurrence
+    # of a word this frequent, and an empty corpus has none to keep
+    lex = Lexicon.from_sentences([["的", "的"], ["的"]])
+    with pytest.raises(ValueError, match="no sample was drawn"):
+        train(sentences, lex, TrainerConfig(seed=1))
+
+
+def test_trainer_config_cannot_be_changed_after_validation():
+    # assigning epochs = 0 after construction skipped the check, and train
+    # returned the untrained table
+    config = TrainerConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.epochs = 0
+    with pytest.raises(ValueError, match="epochs"):
+        dataclasses.replace(config, epochs=0)
+    assert config == TrainerConfig()
 
 
 def test_train_rejects_tokens_missing_from_lexicon():
