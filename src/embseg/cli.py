@@ -16,6 +16,7 @@ from .corpus import BOS, EOS, read_lines, read_segmented_corpus, read_token_line
 from .decoder import BeamParams, segment_sentence
 from .evaluate import AlignmentError, check_aligned, score, word_improvement_report
 from .lexicon import Lexicon
+from .sampler import CTX_NEG, CTX_POS, INWORD_NEG, NOISE_NEG
 from .simcache import SimilarityCache, build_cache, load_cache, save_cache
 from .trainer import TrainerConfig, load_embeddings, save_embeddings, train
 
@@ -126,11 +127,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.corpus}: no sentences")
         lexicon = Lexicon.from_sentences(sentences)
 
-        n_samples = 0
+        by_channel = dict.fromkeys((CTX_POS, CTX_NEG, INWORD_NEG, NOISE_NEG), 0)
 
-        def sink(sample):  # noqa: ANN001 - trainer callback
-            nonlocal n_samples
-            n_samples += 1
+        def sink(sample):  # noqa: ANN001 - trainer callback, run in train's calling process
+            by_channel[sample.source] += 1
             if dump is not None:
                 dump.write(
                     f"{lexicon.word_of(sample.target)}\t{lexicon.word_of(sample.other)}"
@@ -152,7 +152,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "vocab_size": len(lexicon),
         "total_tokens": lexicon.total_tokens,
         "sentences": len(sentences),
-        "samples": n_samples,
+        "samples": sum(by_channel.values()),
+        "samples_by_channel": by_channel,
         "cache_entries": cache_entries,
         "seed": seed,
         "wall_time_s": round(time.perf_counter() - t0, 3),

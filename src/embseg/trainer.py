@@ -5,29 +5,49 @@ positives push the cosine of their two vectors up, negatives push it down.
 Scoring pairs by cosine rather than raw dot product keeps the training
 geometry identical to the metric the decoder ranks hypotheses with.
 
-`train` spends its time in numpy's per-call work rather than in Python
+`train` runs in two roles.  The calling process samples: it holds the
+rng, draws the subsampling keeps, builds each occurrence batch, sets the
+learning rate, feeds `sample_sink`, runs the repair sweeps and logs
+them.  A worker steps: where `os.fork` exists it is a child process that
+applies the samples, sent to it in chunks of packed records over a pipe,
+to a table in an anonymous shared mapping; elsewhere the caller applies
+the same chunks itself, through the same function.  At every sweep and
+at the end the caller waits until the worker has applied every sample
+sent, then repairs the table itself, so the updates and the rng draws
+keep their one-process order.  The worker ignores SIGINT, exits when
+its pipe closes, and is reaped before `train` returns or raises; an
+exception it raises comes out of `train` with its type and message.
+
+Each role spends its time in numpy's per-call work rather than in Python
 calls per token and per pair: `Lexicon.encode` maps the corpus to ids
-once, the step reads row views made once per training run and unpacks
-each sample once, and the sampler builds its samples in C.  The result
-is bit for bit that of one `_stepper(table)` step per sample in turn,
-each indexing the table per call.
+once, the sampler builds its samples in C, and the step reads row views
+made once per training run.  The result is bit for bit that of one
+`_stepper(table)` step per sample in turn, each indexing the table per
+call, in one process.
 """
 from __future__ import annotations
 
 import logging
 import math
+import mmap
 import os
+import signal
 import stat
+import struct
+from contextlib import closing
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .corpus import read_lines
 from .lexicon import Lexicon, SubsampleTable
-from .sampler import CTX_POS, TrainingSample, build_occurrence_batch
+from .sampler import CTX_NEG, CTX_POS, INWORD_NEG, NOISE_NEG, TrainingSample, build_occurrence_batch
 from .simcache import _MIN_NORM
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "TrainerConfig",
@@ -41,6 +61,16 @@ log = logging.getLogger(__name__)
 _SWEEP_EVERY = 1000  # occurrence batches between finiteness sweeps
 _LR_START = 0.025    # learning rate at the first token position
 _LR_END = 1e-4       # learning rate approached at the last one
+_CHUNK = 1024        # records per chunk the caller sends to the worker
+# after a meet the worker idles until the caller sends again: the first
+# chunk holds this many records, and each next one twice as many, up to
+# _CHUNK, so the worker restarts at once and then keeps ahead of the caller
+_FIRST_CHUNK = 16
+
+# one sample and its learning rate: target, other, channel code, weight, lr
+_RECORD = struct.Struct("<iiBdd")
+_CHANNELS = (CTX_POS, CTX_NEG, INWORD_NEG, NOISE_NEG)  # by channel code
+_CODE = {source: code for code, source in enumerate(_CHANNELS)}
 
 
 @dataclass(frozen=True)
@@ -164,6 +194,161 @@ def _repair_rows(emb: np.ndarray, rng: np.random.Generator, where: str) -> None:
         emb[bad] = rng.uniform(-bound, bound, size=(len(ids), emb.shape[1]))
 
 
+def _shared_table(emb: np.ndarray) -> np.ndarray:
+    """`emb` copied into an anonymous shared mapping: a forked child writes
+    the same pages that the caller reads, and returns, without a copy."""
+    table = np.frombuffer(mmap.mmap(-1, emb.nbytes), dtype=emb.dtype).reshape(emb.shape)
+    table[...] = emb
+    return table
+
+
+def _apply(step: Callable[[TrainingSample, float], None], chunk: bytes) -> None:
+    """Run `step` on each record of a chunk, in order: the worker's work."""
+    channels = _CHANNELS
+    for target, other, code, weight, lr in _RECORD.iter_unpack(chunk):
+        step((target, other, channels[code], weight), lr)
+
+
+def _serve(step: Callable[[TrainingSample, float], None], chunks: Connection,
+           reports: Connection) -> None:
+    """The forked worker's loop: apply each chunk read from `chunks` in
+    order, and answer each meet (an empty chunk) with None on `reports`
+    once every chunk before it is applied.  Returns when the caller closes
+    its end, or after sending it the first exception a step raises."""
+    while True:
+        try:
+            chunk = chunks.recv_bytes()
+        except EOFError:
+            return
+        if not chunk:
+            reports.send(None)
+            continue
+        try:
+            _apply(step, chunk)
+        except Exception as exc:  # the caller raises it
+            reports.send(exc)
+            return
+
+
+def _run_worker(step: Callable[[TrainingSample, float], None], chunks: Connection,
+                reports: Connection, mask: set[signal.Signals]) -> NoReturn:
+    """The forked child, born with SIGINT blocked: ignore SIGINT, restore
+    the signal `mask`, serve, then exit without the parent's clean-up."""
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        # keep only its own two ends: a pipe end of another training in this
+        # process, forked in here, would keep that training's worker from EOF
+        low, high = sorted((chunks.fileno(), reports.fileno()))
+        os.closerange(3, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        _serve(step, chunks, reports)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """The stepping role of `train`: applies samples to the table in the
+    order `add` is given them.
+
+    `add` packs a batch's samples, each with the batch's learning rate,
+    into records, and hands them on in chunks of up to about _CHUNK records:
+    through a pipe to a forked child where `os.fork` exists, else to
+    `_apply` in this process.  `meet` returns once every sample added so
+    far is applied, and raises what a step raised.  `close` closes the
+    pipe, which ends the child, and reaps it.
+    """
+
+    def __init__(self, step: Callable[[TrainingSample, float], None]) -> None:
+        self._step = step
+        self._records: list[bytes] = []
+        self._limit = _FIRST_CHUNK               # records that make the next chunk
+        self._chunks: Connection | None = None   # the caller's pipe ends; None in-process
+        self._reports: Connection | None = None
+        self._pid = 0                            # the child to reap
+        fork = getattr(os, "fork", None)
+        if fork is None:
+            return
+        # imported here, where a training forks: the import costs every
+        # other command about 15 ms of start-up
+        from multiprocessing import Pipe
+
+        ends = Pipe(duplex=False) + Pipe(duplex=False)
+        chunks_r, chunks_w, reports_r, reports_w = ends
+        # blocked across the fork, so an interrupt cannot reach the child
+        # before it ignores interrupts
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pid = fork()
+            if pid == 0:
+                _run_worker(step, chunks_r, reports_w, mask)
+        except BaseException:
+            for end in ends:
+                end.close()
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        chunks_r.close()
+        reports_w.close()
+        self._chunks, self._reports, self._pid = chunks_w, reports_r, pid
+
+    def add(self, batch: Sequence[TrainingSample], lr: float) -> None:
+        pack, code = _RECORD.pack, _CODE
+        self._records += [pack(t, o, code[s], w, lr) for t, o, s, w in batch]
+        if len(self._records) >= self._limit:
+            self._send()
+
+    def meet(self) -> None:
+        if self._records:
+            self._send()
+        self._limit = _FIRST_CHUNK
+        if self._chunks is not None:
+            try:
+                self._chunks.send_bytes(b"")
+            except BrokenPipeError:  # the worker has stopped: its report says why
+                pass
+            self._report()
+
+    def close(self) -> None:
+        if self._chunks is not None:
+            self._chunks.close()
+            self._reports.close()
+        if self._pid:
+            self._reap()
+
+    def _send(self) -> None:
+        chunk = b"".join(self._records)
+        self._records.clear()
+        self._limit = min(2 * self._limit, _CHUNK)
+        if self._chunks is None:
+            _apply(self._step, chunk)
+            return
+        try:
+            self._chunks.send_bytes(chunk)
+        except BrokenPipeError:  # the worker has stopped: its report says why
+            self._report()
+
+    def _report(self) -> None:
+        """Wait for the worker's answer to a meet, or for the exception
+        that stopped it, and raise the latter."""
+        try:
+            report = self._reports.recv()
+        except EOFError:  # it ended without one: killed, say
+            raise RuntimeError(
+                f"the training worker ended with exit code {self._reap()} and no report"
+            ) from None
+        if report is not None:
+            raise report
+
+    def _reap(self) -> int:
+        """Wait for the child once; its exit code, or minus the signal that ended it."""
+        pid, self._pid = self._pid, 0
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 def train(
     sentences: Sequence[list[str]],
     lexicon: Lexicon,
@@ -178,50 +363,52 @@ def train(
     the lexicon are an error.  The learning rate decays linearly from
     0.025 towards 1e-4 over all token positions of all epochs.  The result
     is a deterministic function of the corpus, lexicon, and config.
-    Returns the V x dim table.  Raises ValueError when subsampling keeps
-    no target occurrence, so that no sample is drawn and the table would
-    be its untrained initial state.
+    Returns the V x dim table, held in an anonymous shared mapping.
+    Raises ValueError when subsampling keeps no target occurrence, so that
+    no sample is drawn and the table would be its untrained initial state.
 
     sample_sink, when given, receives every generated TrainingSample in
-    order; used for audit dumps.
+    order, in the calling process; used for audit dumps.
     """
     rng = np.random.default_rng(config.seed)
-    emb = init_embeddings(len(lexicon), config.dim, rng)
+    emb = _shared_table(init_embeddings(len(lexicon), config.dim, rng))
     table = SubsampleTable(lexicon, config.epsilon, config.mu)
 
     wrapped = list(map(lexicon.encode, sentences))
 
     total_positions = sum(map(len, wrapped)) * config.epochs
-    # row views made once: _repair_rows writes the table in place, so they
-    # stay views of the rows being trained
-    step = _stepper(list(emb))
     p_sub = table.p_sub.tolist()
     keep = table.keep_override.tolist()
     lr_span = _LR_START - _LR_END
     processed = 0  # token positions before the current sentence
     batches = 0
-    for _ in range(config.epochs):
-        for ids in wrapped:
-            draws = rng.random(len(ids)).tolist()
-            for i, wid in enumerate(ids):
-                if not (keep[wid] or draws[i] < p_sub[wid]):
-                    continue
-                # a wrapped sentence holds both markers, so every position has context
-                batch = build_occurrence_batch(
-                    ids, i, lexicon, rng,
-                    window=config.window, n_noise=config.n_noise, eta=config.eta,
-                )
-                lr = _LR_START - lr_span * ((processed + i) / total_positions)
-                for sample in batch:
+    # row views made once: _repair_rows writes the table in place, so they
+    # stay views of the rows being trained
+    with closing(_Worker(_stepper(list(emb)))) as worker:
+        for _ in range(config.epochs):
+            for ids in wrapped:
+                draws = rng.random(len(ids)).tolist()
+                for i, wid in enumerate(ids):
+                    if not (keep[wid] or draws[i] < p_sub[wid]):
+                        continue
+                    # a wrapped sentence holds both markers, so every position has context
+                    batch = build_occurrence_batch(
+                        ids, i, lexicon, rng,
+                        window=config.window, n_noise=config.n_noise, eta=config.eta,
+                    )
+                    lr = _LR_START - lr_span * ((processed + i) / total_positions)
                     if sample_sink is not None:
-                        sample_sink(sample)
-                    step(sample, lr)
-                batches += 1
-                if batches % _SWEEP_EVERY == 0:
-                    _repair_rows(emb, rng, f"sweep at batch {batches}")
-                    if not np.isfinite(emb).all():
-                        raise FloatingPointError("non-finite embedding entries")
-            processed += len(ids)
+                        for sample in batch:
+                            sample_sink(sample)
+                    worker.add(batch, lr)
+                    batches += 1
+                    if batches % _SWEEP_EVERY == 0:
+                        worker.meet()
+                        _repair_rows(emb, rng, f"sweep at batch {batches}")
+                        if not np.isfinite(emb).all():
+                            raise FloatingPointError("non-finite embedding entries")
+                processed += len(ids)
+        worker.meet()
     if not batches:
         raise ValueError(
             "subsampling kept no target occurrence, so no sample was drawn; "

@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line pipeline."""
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -229,13 +230,16 @@ def test_dump_samples_tsv(workdir):
     summary = json.loads(out)
     lines = dump.read_text(encoding="utf-8").splitlines()
     assert len(lines) == summary["samples"] > 0
-    sources = set()
+    sources = collections.Counter()
     for line in lines:
         target, other, label, source, weight = line.split("\t")
         assert label == ("positive" if source == "ctx_pos" else "negative")
-        sources.add(source)
+        sources[source] += 1
         float(weight)
-    assert sources == {"ctx_pos", "ctx_neg", "inword_neg", "noise_neg"}
+    # the summary's per-channel counts are the dump's, and sum to its samples
+    assert summary["samples_by_channel"] == dict(sources)
+    assert set(sources) == {"ctx_pos", "ctx_neg", "inword_neg", "noise_neg"}
+    assert sum(summary["samples_by_channel"].values()) == summary["samples"]
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == _DUMP_SHA256
 
 

@@ -1,8 +1,12 @@
 """Objective terms, gradients, and the training loop."""
 import dataclasses
+import itertools
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -142,10 +146,11 @@ def test_train_step_bitwise_equals_reference(dim):
     assert emb.tobytes() == ref.tobytes()
 
 
-def _reference_train(sentences, lexicon, config, step=_reference_train_step):
-    """The training loop written plainly around `step`, with id_of over
-    add_boundary_markers, the same rate schedule (0.025 decaying to 1e-4)
-    and the same repair sweeps.  Returns the table and the batch count."""
+def _reference_train(sentences, lexicon, config, step=_reference_train_step, sweep_every=1000):
+    """The training loop written plainly around `step`, in one process,
+    with id_of over add_boundary_markers, the same rate schedule (0.025
+    decaying to 1e-4) and the same repair sweeps, every `sweep_every`
+    batches.  Returns the table and the batch count."""
     rng = np.random.default_rng(config.seed)
     emb = init_embeddings(len(lexicon), config.dim, rng)
     table = SubsampleTable(lexicon, config.epsilon, config.mu)
@@ -167,24 +172,83 @@ def _reference_train(sentences, lexicon, config, step=_reference_train_step):
                 ):
                     step(sample, emb, lr)
                 batches += 1
-                if batches % 1000 == 0:
+                if batches % sweep_every == 0:
                     trainer._repair_rows(emb, rng, "sweep")
     trainer._repair_rows(emb, rng, "final sweep")
     return emb, batches
 
 
+def _counting_forks(patch):
+    """Wrap os.fork through the MonkeyPatch `patch`; returns the list of
+    the pids it forks."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers train forks."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no worker process without os.fork")
+    return _counting_forks(monkeypatch)
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def stepping(request, monkeypatch):
+    """Where train's steps run: in a forked worker, or in the calling
+    process, as where os has no fork.  Yields the pids train forked."""
+    if request.param == "in-process":
+        monkeypatch.delattr(os, "fork", raising=False)
+        pids = []
+    else:
+        pids = request.getfixturevalue("forked")
+    yield pids
+    assert bool(pids) == (request.param == "forked")
+
+
+def _trained_both_ways(monkeypatch, *args):
+    """train's table bytes with its steps in a forked worker, then in the
+    calling process, as where os has no fork."""
+    with monkeypatch.context() as m:
+        forks = _counting_forks(m) if hasattr(os, "fork") else []
+        forked = train(*args).tobytes()
+        m.delattr(os, "fork", raising=False)
+        in_process = train(*args).tobytes()
+    assert len(forks) == hasattr(os, "fork")
+    return forked, in_process
+
+
+def _no_child_left():
+    # raises only when this process has no child at all, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
 @pytest.mark.parametrize("epsilon, epochs", [(1.0, 1), (2e-3, 2)])
-def test_train_bitwise_equals_reference_loop(epsilon, epochs):
+def test_train_bitwise_equals_reference_loop(epsilon, epochs, monkeypatch):
     lang = default_language()
     rng = np.random.default_rng(3)
     sentences = corrupt(lang, generate_corpus(lang, 150, rng))
     lex = Lexicon.from_sentences(sentences)
     config = TrainerConfig(dim=12, seed=9, epsilon=epsilon, epochs=epochs)
-    got = train(sentences, lex, config)
-    assert got.tobytes() == _reference_train(sentences, lex, config)[0].tobytes()
+    want = _reference_train(sentences, lex, config)[0].tobytes()
+    assert _trained_both_ways(monkeypatch, sentences, lex, config) == (want, want)
 
 
-def test_train_bitwise_equals_public_reference_loop():
+def test_train_bitwise_equals_public_reference_loop(monkeypatch):
     # the loop around the oracle train_step, which runs train's own step; a
     # pinned hash of the table would not do, since BLAS dot kernels differ by
     # CPU, so the same code writes different bits on different machines
@@ -196,7 +260,178 @@ def test_train_bitwise_equals_public_reference_loop():
     config = TrainerConfig(dim=12, seed=11, epsilon=1.0, epochs=2)
     want, batches = _reference_train(sentences, lex, config, step=train_step)
     assert batches > 2 * trainer._SWEEP_EVERY
+    assert _trained_both_ways(monkeypatch, sentences, lex, config) == (want.tobytes(),) * 2
+    _no_child_left()
+
+
+def test_every_meet_hands_the_reference_table_to_the_repair(stepping, monkeypatch):
+    # at each sweep the caller waits until the worker has applied every
+    # sample sent, then repairs the table: the repair sees the reference
+    # loop's bytes, and the rows it redraws are the rows the worker steps on
+    lang = default_language()
+    sentences = corrupt(lang, generate_corpus(lang, 40, np.random.default_rng(6)))
+    lex = Lexicon.from_sentences(sentences)
+    config = TrainerConfig(dim=12, seed=2, epsilon=1.0, epochs=2)
+    seen = []
+    repair = trainer._repair_rows
+
+    def redrawing(emb, rng, where):
+        seen.append(emb.tobytes())
+        repair(emb, rng, where)
+        # a repair that always redraws a row, from the same generator
+        emb[len(seen) % len(emb)] = rng.uniform(-0.5, 0.5, size=emb.shape[1])
+
+    monkeypatch.setattr(trainer, "_repair_rows", redrawing)
+    monkeypatch.setattr(trainer, "_SWEEP_EVERY", 7)
+    want, batches = _reference_train(sentences, lex, config, sweep_every=7)
+    want_seen = seen[:]
+    seen.clear()
     assert train(sentences, lex, config).tobytes() == want.tobytes()
+    assert len(want_seen) == batches // 7 + 1 > 10
+    assert seen == want_seen
+
+
+class StepFailed(Exception):
+    """Raised by a patched step; module level, so that pickle can carry it."""
+
+
+def test_a_step_error_comes_out_of_train_and_no_worker_is_left(stepping, monkeypatch):
+    sentences, lex = _toy_corpus()
+    stepper = trainer._stepper
+
+    def failing_stepper(rows):
+        step = stepper(rows)
+        calls = itertools.count()
+
+        def failing(sample, lr):
+            if next(calls) == 100:
+                raise StepFailed(f"no step on {tuple(sample)}")
+            step(sample, lr)
+
+        return failing
+
+    monkeypatch.setattr(trainer, "_stepper", failing_stepper)
+    fds = _open_fds()
+    with pytest.raises(StepFailed) as raised:
+        train(sentences, lex, TrainerConfig(dim=8, seed=3, epsilon=1.0))
+    assert re.fullmatch(r"no step on \(\d+, \d+, '\w+', [\d.]+\)", str(raised.value))
+    _no_child_left()
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("error", [RuntimeError("sink failed"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_a_caller_error_comes_out_of_train_and_no_worker_is_left(stepping, error):
+    sentences, lex = _toy_corpus()
+    calls = itertools.count()
+
+    def failing_sink(sample):
+        if next(calls) == 100:
+            raise error
+
+    fds = _open_fds()
+    with pytest.raises(type(error)) as raised:
+        train(sentences, lex, TrainerConfig(dim=8, seed=3, epsilon=1.0), sample_sink=failing_sink)
+    assert raised.value is error
+    _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_a_killed_worker_is_named_and_reaped(forked):
+    sentences, lex = _toy_corpus()
+    calls = itertools.count()
+
+    def killing(sample):
+        if next(calls) == 20:
+            os.kill(forked[-1], signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match=f"^the training worker ended with exit code "
+                                           f"{-signal.SIGKILL} and no report$"):
+        train(sentences, lex, TrainerConfig(dim=8, seed=3, epsilon=1.0, epochs=20),
+              sample_sink=killing)
+    _no_child_left()
+
+
+def test_the_worker_ignores_an_interrupt(forked):
+    # Ctrl-C reaches the whole process group; the caller alone handles it
+    sentences, lex = _toy_corpus()
+    config = TrainerConfig(dim=8, seed=3, epsilon=1.0)
+    calls = itertools.count()
+
+    def interrupting(sample):
+        if next(calls) == 20:
+            os.kill(forked[-1], signal.SIGINT)
+
+    assert train(sentences, lex, config, sample_sink=interrupting).tobytes() == \
+        train(sentences, lex, config).tobytes()
+    _no_child_left()
+
+
+def test_trainings_in_threads_keep_their_bytes(forked):
+    # more trainings than CPUs at once, each forking while the others' pipes
+    # are open: a worker that held another training's pipe end would keep
+    # that training from ever reaping its worker
+    sentences, lex = _toy_corpus()
+    configs = [TrainerConfig(dim=8, seed=seed, epsilon=1.0, epochs=20) for seed in range(4)]
+    want = [train(sentences, lex, config).tobytes() for config in configs]
+    got = [None] * len(configs)
+
+    def run(k):
+        got[k] = train(sentences, lex, configs[k]).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(forked) == 2 * len(configs)
+    _no_child_left()
+
+
+# trains for seconds, and says "ready" on its first sample
+_INTERRUPTED_TRAIN = """
+import numpy as np
+from embseg import Lexicon, TrainerConfig, corrupt, default_language, generate_corpus, train
+lang = default_language()
+sentences = corrupt(lang, generate_corpus(lang, 20000, np.random.default_rng(1)))
+samples = 0
+def ready(sample):
+    global samples
+    samples += 1
+    if samples == 1:
+        print("ready", flush=True)
+train(sentences, Lexicon.from_sentences(sentences), TrainerConfig(seed=1), sample_sink=ready)
+print("finished", flush=True)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no worker process without os.fork")
+def test_an_interrupt_to_the_process_group_leaves_no_process():
+    # what Ctrl-C does in a terminal: SIGINT to the caller and its worker
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_TRAIN], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert proc.returncode == -signal.SIGINT, err
+    assert "KeyboardInterrupt" in err and "finished" not in out
+    with pytest.raises(ProcessLookupError):  # the group is empty: the worker was reaped too
+        os.killpg(proc.pid, 0)
 
 
 def test_train_step_zero_lr_is_a_no_op():
@@ -239,11 +474,14 @@ def test_train_single_thread_deterministic():
 def test_sample_sink_sees_every_sample():
     sentences, lex = _toy_corpus()
     seen = []
-    train(
-        sentences, lex, TrainerConfig(dim=8, seed=3, epsilon=1.0),
-        sample_sink=seen.append,
-    )
-    assert seen
+    pids = set()
+
+    def sink(sample):
+        seen.append(sample)
+        pids.add(os.getpid())
+
+    train(sentences, lex, TrainerConfig(dim=8, seed=3, epsilon=1.0), sample_sink=sink)
+    assert seen and pids == {os.getpid()}  # the sink runs in the calling process
     assert {s.label for s in seen} == {POSITIVE, NEGATIVE}
     assert all(isinstance(s, TrainingSample) for s in seen)
 
