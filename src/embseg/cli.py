@@ -4,13 +4,14 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import shutil
 import sys
 import time
 from contextlib import ExitStack, closing, contextmanager, nullcontext
 from itertools import repeat, zip_longest
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .corpus import BOS, EOS, read_lines, read_segmented_corpus, read_token_lines
 from .decoder import BeamParams, segment_sentence
@@ -18,7 +19,9 @@ from .evaluate import AlignmentError, check_aligned, score, word_improvement_rep
 from .lexicon import Lexicon
 from .sampler import CTX_NEG, CTX_POS, INWORD_NEG, NOISE_NEG
 from .simcache import SimilarityCache, build_cache, load_cache, save_cache
-from .trainer import TrainerConfig, load_embeddings, save_embeddings, train
+from .trainer import (
+    TrainerConfig, _binary_copy_path, _save_binary_copy, load_embeddings, save_embeddings, train,
+)
 
 __all__ = ["main"]
 
@@ -105,8 +108,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("--cache and --no-cache contradict each other: pass one of them")
     if not args.no_cache and not args.cache:
         raise ValueError("train writes a cache file: pass --cache PATH or --no-cache")
-    outputs = {"--dict": args.dict, "--emb": args.emb, "--cache": args.cache,
-               "--dump-samples": args.dump_samples}
+    outputs = {"--dict": args.dict, "--emb": args.emb, _COPY: _copy_of(args.emb),
+               "--cache": args.cache, "--dump-samples": args.dump_samples}
     _check_distinct({"--corpus": args.corpus}, outputs)
     seed = args.seed if args.seed is not None else time.time_ns() % (2**31)
     config = TrainerConfig(
@@ -115,17 +118,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=seed,
     )
     t0 = time.perf_counter()
+    # wall seconds per stage; "cache" stays None under --no-cache
+    stage_s: dict[str, float | None] = dict.fromkeys(("read", "lexicon", "train", "save", "cache"))
     with ExitStack() as stack:
         # every output given is created before training and replaced only on success
-        dict_tmp, emb_tmp, cache_tmp, dump_tmp = (
+        dict_tmp, emb_tmp, copy_tmp, cache_tmp, dump_tmp = (
             None if path is None else stack.enter_context(_replaced_on_success(path))
             for path in outputs.values()
         )
         dump = stack.enter_context(open(dump_tmp, "w", encoding="utf-8")) if dump_tmp else None
+        lap = _lap_timer(stage_s)
         sentences = list(read_segmented_corpus(args.corpus))
         if not sentences:
             raise ValueError(f"{args.corpus}: no sentences")
+        lap("read")
         lexicon = Lexicon.from_sentences(sentences)
+        lap("lexicon")
 
         by_channel = dict.fromkeys((CTX_POS, CTX_NEG, INWORD_NEG, NOISE_NEG), 0)
 
@@ -141,13 +149,18 @@ def cmd_train(args: argparse.Namespace) -> int:
             emb = train(sentences, lexicon, config, sample_sink=sink)
         except ValueError as exc:
             raise ValueError(f"{args.corpus}: {exc}") from None
+        lap("train")
         lexicon.save(dict_tmp)
         save_embeddings(emb_tmp, lexicon, emb)
+        if copy_tmp:  # before the cache build, which sets the run's peak memory
+            _save_binary_copy(copy_tmp, emb_tmp, lexicon, emb)
+        lap("save")
         cache_entries = None
         if cache_tmp:
             cache = build_cache(sentences, lexicon, emb, window=args.window)
             save_cache(cache_tmp, cache)
             cache_entries = cache.entries
+            lap("cache")
     summary = {
         "vocab_size": len(lexicon),
         "total_tokens": lexicon.total_tokens,
@@ -156,10 +169,40 @@ def cmd_train(args: argparse.Namespace) -> int:
         "samples_by_channel": by_channel,
         "cache_entries": cache_entries,
         "seed": seed,
+        "stage_s": stage_s,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     print(json.dumps(summary, ensure_ascii=False))
     return 0
+
+
+def _lap_timer(laps: dict[str, float | None]) -> Callable[[str], None]:
+    """A function that stores under its argument the seconds since the
+    previous call (the first: since this one), rounded down to the
+    millisecond, so laps within one run sum to at most its rounded wall
+    time."""
+    last = time.perf_counter()
+
+    def lap(name: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        laps[name] = math.floor((now - last) * 1000) / 1000
+        last = now
+
+    return lap
+
+
+# the label under which the same-path checks name --emb's binary copy
+_COPY = "--emb's .bin copy"
+
+
+def _copy_of(emb: str) -> str | None:
+    """The path of the binary copy that `train` writes beside `emb` and
+    `load_embeddings` reads; None where there is none: an empty path, or
+    one that is not a regular file (a pipe, /dev/stdout)."""
+    if not emb or (os.path.exists(emb) and not os.path.isfile(emb)):
+        return None
+    return _binary_copy_path(emb)
 
 
 def _check_distinct(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:
@@ -262,7 +305,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
             raise ValueError(f"empty input path for {flag}")
     # --out may rewrite --input in place, as `sort -o` does: the decoded
     # lines spell the raw ones, and --out replaces its file only on success
-    _check_distinct({k: v for k, v in inputs.items() if k != "--input"}, {"--out": args.out})
+    reads = {k: v for k, v in inputs.items() if k != "--input"}
+    _check_distinct({**reads, _COPY: _copy_of(args.emb)}, {"--out": args.out})
     # the output is created before any input is read, so a bad --out fails first
     with _text_output(args.out) as fh, closing(_lines_in_step(args.input, args.baseline)) as pairs:
         lexicon, cache = _load_artifacts(args)
@@ -308,7 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, RuntimeError, FloatingPointError) as exc:
+        # RuntimeError: a training worker that died; FloatingPointError: a
+        # table that training left non-finite
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -24,9 +24,18 @@ once, the sampler builds its samples in C, and the step reads row views
 made once per training run.  The result is bit for bit that of one
 `_stepper(table)` step per sample in turn, each indexing the table per
 call, in one process.
+
+`emb.txt`, the text that `save_embeddings` writes, is the format of
+record.  `embseg train` also writes a binary copy of the table beside
+it, `<emb>.bin` (`_save_binary_copy`), stamped with the SHA-256 of the
+text's bytes.  `load_embeddings` reads the copy in place of parsing the
+floats only when the stamp matches the text it was given, and every
+other field checks out; otherwise it parses the text.  Either way it
+returns the same words and bits, or raises the same error.
 """
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import mmap
@@ -34,8 +43,10 @@ import os
 import signal
 import stat
 import struct
+import sys
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 
@@ -71,6 +82,14 @@ _FIRST_CHUNK = 16
 _RECORD = struct.Struct("<iiBdd")
 _CHANNELS = (CTX_POS, CTX_NEG, INWORD_NEG, NOISE_NEG)  # by channel code
 _CODE = {source: code for code, source in enumerate(_CHANNELS)}
+
+# the binary copy of an embedding text: magic, format version, V, d, the
+# byte length of the words and the SHA-256 of the text's bytes; then the
+# V x d table as little-endian float64, then the words in UTF-8 joined by "\n"
+_COPY_HEAD = struct.Struct("<4sB3xQQQ32s")
+_COPY_MAGIC = b"EMBB"
+_COPY_VERSION = 1
+_HASH_CHUNK = 1 << 20  # bytes of the text read per digest update
 
 
 @dataclass(frozen=True)
@@ -436,6 +455,74 @@ def save_embeddings(path: str, lexicon: Lexicon, emb: np.ndarray) -> None:
             fh.write(f"{lexicon.word_of(wid)} {vec}\n")
 
 
+def _binary_copy_path(path: str) -> str:
+    """Where the binary copy of the embedding text at `path` lives: beside
+    the file `path` resolves to."""
+    return os.path.realpath(path) + ".bin"
+
+
+def _text_digest(path: str) -> bytes:
+    """SHA-256 of a file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, _HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _save_binary_copy(path: str, text_path: str, lexicon: Lexicon, emb: np.ndarray) -> None:
+    """Write to `path` the binary copy of the table that `save_embeddings`
+    wrote to `text_path` from the same lexicon and table, stamped with the
+    SHA-256 of that file's bytes."""
+    V, d = emb.shape
+    words = "\n".join(lexicon.words).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_COPY_HEAD.pack(_COPY_MAGIC, _COPY_VERSION, V, d, len(words),
+                                 _text_digest(text_path)))
+        fh.write(np.ascontiguousarray(emb, dtype="<f8").data)
+        fh.write(words)
+
+
+def _load_binary_copy(path: str, emb: np.ndarray) -> list[str] | None:
+    """Fill `emb`, shaped by the text's header, from the binary copy of the
+    embedding text at `path` and return the copy's words.
+
+    Returns None, and leaves `emb` to be overwritten, when there is no
+    copy, a read fails, or anything disagrees: the magic, the version,
+    the shape, the copy's length, the digest of the text, the word count,
+    and finite values.  A word holding a space is one the text cannot
+    hold as written, so it disagrees too.
+    """
+    copy = _binary_copy_path(path)
+    if not os.path.isfile(copy):  # a pipe there would block the open
+        return None
+    V, d = emb.shape
+    try:
+        with open(copy, "rb") as fh:
+            head = fh.read(_COPY_HEAD.size)
+            if len(head) != _COPY_HEAD.size:
+                return None
+            magic, version, rows, cols, n_bytes, digest = _COPY_HEAD.unpack(head)
+            if ((magic, version, rows, cols) != (_COPY_MAGIC, _COPY_VERSION, V, d)
+                    or os.fstat(fh.fileno()).st_size != _COPY_HEAD.size + emb.nbytes + n_bytes
+                    or digest != _text_digest(path)
+                    or fh.readinto(memoryview(emb).cast("B")) != emb.nbytes):
+                return None
+            blob = fh.read(n_bytes)
+    except OSError:
+        return None
+    if sys.byteorder == "big":
+        emb.byteswap(inplace=True)
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    words = text.split("\n")
+    if len(blob) != n_bytes or len(words) != V or " " in text or not np.isfinite(emb).all():
+        return None
+    return words
+
+
 def _float_columns(lines: Iterator[str], V: int, words: list[str]) -> Iterator[str]:
     r"""Yield the float columns of each body row for `np.loadtxt`, and
     append the row's word to `words`.
@@ -484,12 +571,16 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     """Inverse of save_embeddings; validates the header against the body
     and rejects non-finite values.
 
-    A regular file's rows are read in one pass: the word is split off
+    A regular file is read from its binary copy, the file `embseg train`
+    writes beside the file `path` resolves to, plus ".bin", when the
+    SHA-256 the copy carries is that of the file's bytes and every other
+    field checks out (`_load_binary_copy`).  Otherwise, as when there is
+    no copy, its rows are read in one pass: the word is split off
     each row in Python and the float columns stream to numpy's C text
     reader, which parses each value to the bits `float()` gives.  A
     pipe or a device, and any file that pass rejects, is read by the
     per-row loop (`_parse_rows`, one `float()` per value), which names
-    the first bad line.  Both give the same words and values.
+    the first bad line.  All three give the same words and values.
     """
     lines = read_lines(path)
     header = next(lines, "").split()
@@ -516,7 +607,11 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
         ) from None
     table = None
     if regular:  # a pipe or a device cannot be read twice
-        words: list[str] = []
+        words = _load_binary_copy(path, emb)
+        if words is not None:
+            lines.close()
+            return words, emb
+        words = []
         try:
             table = np.loadtxt(_float_columns(lines, V, words), dtype=np.float64,
                                delimiter=" ", comments=None, ndmin=2)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from embseg import cli
+from embseg import cli, trainer
 from embseg.cli import main
 from embseg.corpus import BOS
 from embseg.decoder import BeamParams
@@ -73,8 +74,14 @@ def test_train_summary_fields(trained):
     assert summary["cache_entries"] > 0
     assert summary["total_tokens"] > 300 * 8
     assert summary["wall_time_s"] >= 0
+    stages = summary["stage_s"]
+    assert list(stages) == ["read", "lexicon", "train", "save", "cache"]
+    assert all(seconds >= 0 for seconds in stages.values())
+    # each stage is rounded down to the millisecond, and the wall time to the nearest
+    assert round(sum(stages.values()), 3) <= summary["wall_time_s"]
     assert (workdir / "dict.tsv").exists()
     assert (workdir / "emb.txt").exists()
+    assert (workdir / "emb.txt.bin").exists()
     assert (workdir / "sim.bin").exists()
 
 
@@ -178,6 +185,7 @@ def test_train_no_cache_and_time_seed(workdir):
     assert rc == 0
     summary = json.loads(out)
     assert summary["cache_entries"] is None
+    assert summary["stage_s"]["cache"] is None
     assert isinstance(summary["seed"], int)  # time-seeded but echoed
 
 
@@ -294,7 +302,7 @@ def test_train_output_on_the_corpus_path_fails_before_any_output(tmp_path, flag)
 
 @pytest.mark.parametrize("flag, spelling", [
     ("--dict", "same"), ("--emb", "same"), ("--cache", "same"), ("--baseline", "same"),
-    ("--emb", "symlink"),
+    ("--emb", "symlink"), ("--emb", "binary-copy"),
 ])
 def test_segment_out_on_an_input_fails_before_any_file_is_read(trained, tmp_path, monkeypatch, flag, spelling):
     # accepted, --emb e.txt --out e.txt replaced the embeddings with the decoded text
@@ -310,6 +318,9 @@ def test_segment_out_on_an_input_fails_before_any_file_is_read(trained, tmp_path
     if spelling == "symlink":
         out = tmp_path / "link"
         out.symlink_to(path)
+    elif spelling == "binary-copy":  # what train writes beside --emb, and load_embeddings reads
+        out = Path(f"{path}.bin")
+        flag = "--emb's .bin copy"
     argv[argv.index("--out") + 1] = str(out)
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}
     rc, stdout, err = _run(argv)
@@ -746,7 +757,7 @@ def test_train_reports_a_failed_allocation_in_one_line(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
 
-@pytest.mark.parametrize("stage", ["train", "build_cache"])
+@pytest.mark.parametrize("stage", ["train", "_save_binary_copy", "build_cache"])
 def test_failed_train_leaves_no_new_artifact(workdir, tmp_path, monkeypatch, stage):
     def fail(*args, **kwargs):
         raise ValueError(f"{stage} failed")
@@ -759,6 +770,85 @@ def test_failed_train_leaves_no_new_artifact(workdir, tmp_path, monkeypatch, sta
     assert (rc, out, err) == (1, "", f"error: {where}{stage} failed\n")
     assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
     assert (tmp_path / "emb.txt").read_text(encoding="utf-8") == "old\n"
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError(f"the training worker ended with exit code {-signal.SIGKILL} and no report"),
+    FloatingPointError("non-finite embedding entries after training"),
+], ids=["dead-worker", "non-finite-table"])
+def test_a_training_failure_is_one_error_line(workdir, tmp_path, monkeypatch, error):
+    # accepted, both came out of main as a traceback
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "train", fail)
+    rc, out, err = _run(_train_argv(workdir, tmp_path))
+    assert (rc, out, err) == (1, "", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_binary_copy_fails_before_training(workdir, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "train", _refuse("trained"))
+    copy = tmp_path / "emb.txt.bin"
+    copy.mkdir()
+    rc, out, err = _run(_train_argv(workdir, tmp_path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{copy}'\n"
+    assert list(tmp_path.iterdir()) == [copy]
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--dict", "--cache", "--dump-samples"])
+def test_train_refuses_a_path_on_the_binary_copy_of_emb(workdir, tmp_path, monkeypatch, flag):
+    monkeypatch.setattr(cli, "read_segmented_corpus", _refuse("read the corpus"))
+    monkeypatch.setattr(cli, "train", _refuse("trained"))
+    argv = _train_argv(workdir, tmp_path)
+    copy = tmp_path / "emb.txt.bin"
+    argv[argv.index(flag) + 1] = str(copy)
+    rc, out, err = _run(argv)
+    # the copy is checked right after --emb
+    first, second = ((flag, "--emb's .bin copy") if flag in ("--corpus", "--dict")
+                     else ("--emb's .bin copy", flag))
+    assert (rc, out, err) == (1, "", f"error: {first} and {second} name the same file: {copy}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_pipe_emb_gets_no_binary_copy(workdir, tmp_path):
+    argv = _train_argv(workdir, tmp_path)
+    assert _run(argv)[0] == 0
+    pipe = tmp_path / "pipe" / "emb.txt"
+    pipe.parent.mkdir()
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    rc, _, err = _run(_train_argv(workdir, pipe.parent))
+    reader.join(10)
+    assert rc == 0, err
+    assert not reader.is_alive() and got == [(tmp_path / "emb.txt").read_bytes()]
+    assert sorted(p.name for p in pipe.parent.iterdir()) == [
+        "dict.tsv", "emb.txt", "samples.tsv", "sim.bin",
+    ]
+
+
+def test_segment_reads_the_binary_copy_and_writes_the_same_bytes_without_it(
+        trained, tmp_path, monkeypatch):
+    workdir, _ = trained
+    with_copy = tmp_path / "with_copy.txt"
+    argv = _segment_argv(workdir, workdir / "raw.txt", workdir / "base.txt", with_copy)
+    def parse(*args, **kwargs):
+        raise AssertionError("parsed the embedding text")
+
+    with monkeypatch.context() as mp:  # only the copy can give the table
+        mp.setattr(np, "loadtxt", parse)
+        mp.setattr(trainer, "_parse_rows", parse)
+        assert _run(argv) == (0, "", "")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for name in ("dict.tsv", "emb.txt", "sim.bin"):
+        (plain / name).write_bytes((workdir / name).read_bytes())
+    without = tmp_path / "without_copy.txt"
+    assert _run(_segment_argv(plain, workdir / "raw.txt", workdir / "base.txt", without))[0] == 0
+    assert with_copy.read_bytes() == without.read_bytes()
 
 
 def test_failed_report_leaves_out_untouched(trained, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embseg.corpus import BOS, add_boundary_markers
+from embseg.corpus import BOS, EOS, add_boundary_markers
 from embseg.lexicon import Lexicon, SubsampleTable
 from embseg.sampler import (
     CTX_NEG,
@@ -642,6 +643,93 @@ def test_saved_tables_load_alike_on_either_path(tmp_path_factory, rows):
     assert got == _loaded_row_by_row(path)
     if np.isfinite(emb).all():
         assert got == (words, emb.shape, emb.tobytes())
+
+
+def _loaded_from_copy(path):
+    """`_loaded` with both text readers failing, so only the binary copy
+    can give a table."""
+    def fail(*args, **kwargs):
+        raise AssertionError("parsed the text")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", fail)
+        mp.setattr(trainer, "_parse_rows", fail)
+        return _loaded(path)
+
+
+# words as a lexicon may hold them: the markers, escaped tokens, and words
+# with a space or a newline, which the text cannot hold as written
+_COPY_WORD = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.sampled_from([BOS, EOS, "⟨⟨" + BOS, "⟨⟨⟨⟨x", "a b", " ", "a\nb"]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(_COPY_WORD, st.lists(st.floats(width=64), min_size=d, max_size=d)),
+    min_size=1, max_size=5, unique_by=lambda row: row[0])))
+def test_saved_tables_load_alike_with_and_without_the_binary_copy(tmp_path_factory, rows):
+    words = [w for w, _ in rows]
+    emb = np.array([vec for _, vec in rows], dtype=np.float64)
+    lexicon = Lexicon(words, [1] * len(words))
+    path = str(tmp_path_factory.mktemp("emb") / "emb.txt")
+    save_embeddings(path, lexicon, emb)
+    without = _loaded(path)
+    trainer._save_binary_copy(path + ".bin", path, lexicon, emb)
+    assert _loaded(path) == without
+    if np.isfinite(emb).all() and not any(" " in w or "\n" in w for w in words):
+        assert _loaded_from_copy(path) == without == (words, emb.shape, emb.tobytes())
+
+
+# each damages one field of a binary copy's bytes `b`, whose header is
+# `head` bytes and whose table is `n` bytes long
+_DAMAGE = {
+    "magic": lambda b, head, n: b"XMBB" + b[4:],
+    "version": lambda b, head, n: b[:4] + b"\x02" + b[5:],
+    "truncated": lambda b, head, n: b[:-1],
+    "trailing-byte": lambda b, head, n: b + b"\0",
+    "one-word-fewer": lambda b, head, n: b[:head + n] + b[head + n:].replace(b"\n", b"_", 1),
+    "non-finite": lambda b, head, n: b[:head] + struct.pack("<d", math.nan) + b[head + 8:],
+}
+
+
+def _one_digit_changed(text):
+    """`text` with the leading digit of line 3's first value changed."""
+    lines = text.split(b"\n")
+    word, value, rest = lines[2].split(b" ", 2)
+    value = re.sub(rb"[1-9]", lambda m: b"2" if m.group() == b"1" else b"1", value, count=1)
+    lines[2] = b" ".join([word, value, rest])
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("damage", [
+    "stale", "more-rows", "more-columns", *_DAMAGE,
+])
+def test_a_binary_copy_that_disagrees_is_ignored(tmp_path, monkeypatch, damage):
+    path, words, emb = _saved_table(tmp_path)
+    lex = Lexicon(words, [1] * len(words))
+    copy = tmp_path / "emb.txt.bin"
+    trainer._save_binary_copy(str(copy), str(path), lex, emb)
+    assert _loaded_from_copy(str(path)) == (words, emb.shape, emb.tobytes())
+    if damage == "stale":  # the text changed after the copy was written
+        path.write_bytes(_one_digit_changed(path.read_bytes()))
+    elif damage == "more-rows":  # stamped with this text's digest, but shaped otherwise
+        more = Lexicon([*words, "extra"], [1] * (len(words) + 1))
+        trainer._save_binary_copy(str(copy), str(path), more, np.vstack([emb, emb[:1]]))
+    elif damage == "more-columns":
+        trainer._save_binary_copy(str(copy), str(path), lex, np.hstack([emb, emb[:, :1]]))
+    else:
+        copy.write_bytes(_DAMAGE[damage](copy.read_bytes(), trainer._COPY_HEAD.size, emb.nbytes))
+    aside = copy.rename(tmp_path / "aside.bin")
+    want = _loaded(str(path))  # the text alone
+    aside.rename(copy)
+    parsed = []
+    columns = trainer._float_columns
+    monkeypatch.setattr(trainer, "_float_columns", lambda *a: parsed.append(a) or columns(*a))
+    assert _loaded(str(path)) == want
+    assert len(parsed) == 1  # the text was parsed, not the copy read
+    assert (want == (words, emb.shape, emb.tobytes())) == (damage != "stale")
 
 
 # spellings of a value that `float()` and numpy's reader might read apart
