@@ -30,8 +30,9 @@ record.  `embseg train` also writes a binary copy of the table beside
 it, `<emb>.bin` (`_save_binary_copy`), stamped with the SHA-256 of the
 text's bytes.  `load_embeddings` reads the copy in place of parsing the
 floats only when the stamp matches the text it was given, and every
-other field checks out; otherwise it parses the text.  Either way it
-returns the same words and bits, or raises the same error.
+other field checks out; otherwise `_parse_rows` parses the text, one
+`float()` per value.  Either way it returns the same words and bits, or
+raises the same error.
 """
 from __future__ import annotations
 
@@ -523,27 +524,6 @@ def _load_binary_copy(path: str, emb: np.ndarray) -> list[str] | None:
     return words
 
 
-def _float_columns(lines: Iterator[str], V: int, words: list[str]) -> Iterator[str]:
-    r"""Yield the float columns of each body row for `np.loadtxt`, and
-    append the row's word to `words`.
-
-    Raises ValueError on a row that numpy might read otherwise than
-    `float()`: numpy ends a row at "\r", strips \x1c-\x1f around a value
-    (`float()` rejects them) and skips an empty row.  Also on a row past
-    V and at the end on fewer than V rows; numpy itself raises on a row
-    whose column count is not the first row's.
-    """
-    for line in lines:
-        word, _, floats = line.partition(" ")
-        if (len(words) == V or not floats or "\r" in line
-                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
-            raise ValueError("a row for the per-row loop")
-        words.append(word)
-        yield floats
-    if len(words) != V:
-        raise ValueError("fewer rows than the header announces")
-
-
 def _parse_rows(path: str, lines: Iterator[str], emb: np.ndarray) -> list[str]:
     """Fill `emb` from the body rows, one `float()` per value, and return
     the words; raises the first `path:line:` error in line order."""
@@ -574,58 +554,41 @@ def load_embeddings(path: str) -> tuple[list[str], np.ndarray]:
     A regular file is read from its binary copy, the file `embseg train`
     writes beside the file `path` resolves to, plus ".bin", when the
     SHA-256 the copy carries is that of the file's bytes and every other
-    field checks out (`_load_binary_copy`).  Otherwise, as when there is
-    no copy, its rows are read in one pass: the word is split off
-    each row in Python and the float columns stream to numpy's C text
-    reader, which parses each value to the bits `float()` gives.  A
-    pipe or a device, and any file that pass rejects, is read by the
-    per-row loop (`_parse_rows`, one `float()` per value), which names
-    the first bad line.  All three give the same words and values.
+    field checks out (`_load_binary_copy`).  Any other input, a file
+    without a trusted copy, a pipe or a device, is parsed by
+    `_parse_rows`, one `float()` per value, which names the first bad
+    line.  Both give the same words and values.
     """
-    lines = read_lines(path)
-    header = next(lines, "").split()
-    try:
-        V, d = map(int, header)
-    except ValueError:
-        V = d = 0
-    if V < 1 or d < 1:
-        raise ValueError(f"{path}:1: malformed header, expected 'V d' with V, d >= 1")
-    # a row is a word, d space-led floats and a newline: at least 2d + 2
-    # bytes, so a header the file cannot hold fails before the allocation
-    st = os.stat(path)
-    regular = stat.S_ISREG(st.st_mode)
-    if regular and V * (2 * d + 2) > st.st_size:
-        raise ValueError(
-            f"{path}:1: header announces {V} rows of {d} floats, "
-            f"more than the file's {st.st_size} bytes can hold"
-        )
-    try:  # the only check of a header that a pipe or a device announces
-        emb = np.empty((V, d), dtype=np.float64)
-    except (MemoryError, ValueError):  # numpy's too-big array is a ValueError
-        raise ValueError(
-            f"{path}:1: header announces {V} rows of {d} floats, more than can be allocated"
-        ) from None
-    table = None
-    if regular:  # a pipe or a device cannot be read twice
-        words = _load_binary_copy(path, emb)
-        if words is not None:
-            lines.close()
-            return words, emb
-        words = []
+    with closing(read_lines(path)) as lines:
+        header = next(lines, "").split()
         try:
-            table = np.loadtxt(_float_columns(lines, V, words), dtype=np.float64,
-                               delimiter=" ", comments=None, ndmin=2)
+            V, d = map(int, header)
         except ValueError:
-            pass
-        if table is None or table.shape != (V, d):  # numpy held every row to the first's columns
-            table = None
-            lines.close()
-            lines = read_lines(path)
-            next(lines)  # the header, read above
-    if table is None:
+            V = d = 0
+        if V < 1 or d < 1:
+            raise ValueError(f"{path}:1: malformed header, expected 'V d' with V, d >= 1")
+        # a row is a word, which may be empty, d space-led floats and a
+        # newline: at least 2d + 1 bytes (the header's bytes make up for a
+        # last row without its newline), so a header the file cannot hold
+        # fails before the allocation
+        st = os.stat(path)
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and V * (2 * d + 1) > st.st_size:
+            raise ValueError(
+                f"{path}:1: header announces {V} rows of {d} floats, "
+                f"more than the file's {st.st_size} bytes can hold"
+            )
+        try:  # the only check of a header that a pipe or a device announces
+            emb = np.empty((V, d), dtype=np.float64)
+        except (MemoryError, ValueError):  # numpy's too-big array is a ValueError
+            raise ValueError(
+                f"{path}:1: header announces {V} rows of {d} floats, more than can be allocated"
+            ) from None
+        if regular:  # a pipe or a device cannot be read twice
+            words = _load_binary_copy(path, emb)
+            if words is not None:
+                return words, emb
         words = _parse_rows(path, lines, emb)
-    else:
-        emb = table
     bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite value")

