@@ -1,11 +1,13 @@
-"""Beam decoding, dynamic growth, and the baseline fallback.
+"""Beam decoding, the retry over the completable lattice, and the
+baseline fallback.
 
 The decoder walks a fragment character by character, keeping the best
 partial segmentations ranked by the running mean of each word's cosine
-against its recent predecessors.  When no hypothesis survives, the beam
-widens and the word-length bound grows.  Once the bound covers the
-fragment or the longest dictionary word, four more failed rounds end
-the growth, and the baseline tokens are kept verbatim.
+against its recent predecessors.  When no hypothesis survives, the
+fragment is searched once more, at the same beam size and with no
+word-length bound, over the words that lie on some tiling of it; that
+search cannot die.  Only a fragment that no dictionary words tile keeps
+its baseline tokens verbatim.
 """
 import numpy as np
 
@@ -27,12 +29,12 @@ def main() -> None:
     segmentation, mean = result
     print(f"beam result: {' '.join(segmentation)}  (mean score {mean:+.3f})")
 
-    # a 6-character word is out of reach at the stock bounds; one growth
-    # round (beam +10, word length +1) brings it in
+    # a 6-character word is out of reach at the stock bounds; the retry
+    # over the words that tile the fragment brings it in
     lex6 = Lexicon((BOS, EOS, "一二三四五六"), (1, 1, 1))
     cache6 = SimilarityCache(np.random.default_rng(1).normal(size=(3, 8)))
     print("stock bounds:", beam_search("一二三四五六", lex6, cache6, BeamParams()))
-    print("after growth:", segment_sentence("一二三四五六", lex6, cache6, BeamParams()))
+    print("after retry: ", segment_sentence("一二三四五六", lex6, cache6, BeamParams()))
 
     # nothing in the dictionary covers this line: baseline tokens survive
     out = segment_sentence("平安无事", lex6, cache6, BeamParams(),

@@ -2,36 +2,32 @@
 
 A hypothesis carries the words flushed so far plus an open buffer of raw
 characters.  Each incoming character either extends the buffer (while it
-still fits the word-length bound) or closes it as a dictionary word and
+stays within its reach, below) or closes it as a dictionary word and
 starts a fresh buffer.  Hypotheses are ranked by the mean, over flushed
 words, of the mean cosine between each word and up to `window` of its
 predecessors; the begin marker contributes nothing, the end marker is
 scored like a word.  A hypothesis's rank is computed once, when it
 flushes a word, and carried unchanged while its buffer grows; _finals
 gives the layout of the beam entries that carry it.  Each search first
-indexes the fragment's dictionary lattice (the id of every real word
-fragment[s:e], from `Lexicon.spans`; a buffer never outgrows the
-word-length bound, so no longer word is flushed) and keeps each buffer
-as a start offset, so its inner loop builds no strings and looks up no
-text.  Each flushed word costs one `mean_similarity` call, so the cache
-counts one lookup per scored (word, predecessor) pair.
+indexes the fragment's lattice: the id of every word fragment[s:e] it
+may flush, from `Lexicon.spans`, and reach[s], the furthest end a buffer
+opened at s may grow to.  It keeps each buffer as a start offset, so its
+inner loop builds no strings and looks up no text.  Each flushed word
+costs one `mean_similarity` call, so the cache counts one lookup per
+scored (word, predecessor) pair.
 beam_search takes the beam size, word-length bound and window from one
 frozen BeamParams and returns (words, score), or None when the beam dies.
+It searches every dictionary word, with reach[s] = s + max_word_len.
 
-When the whole beam dies the search restarts with a larger beam and
-word-length bound, so every input eventually gets some segmentation (its
-baseline tokens, or single characters, in the worst case).  Each growth
-round is named by its word-length bound m, one more than the round
-before, and searches a beam _BEAM_STEP * (m - m0) slots wider than the
-first search, whose bound was m0.  After the first search fails, one
-pass over the fragment's `Lexicon.spans` finds the tiling bound, the
-smallest word-length bound at which any tiling exists; a fragment with
-no tiling gives up at once.  Rounds below the tiling bound cannot
-succeed and are not run.  The last round is the fourth whose bound
-covers the whole fragment or the longest dictionary word: past that word
-a larger bound admits no new word, only the beam widens.  The tiling
-bound never exceeds that cover, so the rounds run are exactly those of
-the unskipped schedule that could succeed, and the output is the same.
+A fragment whose beam dies is searched once more, at the same beam size,
+over its completable lattice: one backward pass over `Lexicon.spans`
+keeps a word fragment[s:e] only when the dictionary tiles fragment[e:],
+and sets reach[s] to the furthest end kept.  Every entry of that beam
+can be completed, so it cannot die; no word-length bound applies, and
+words are limited by the longest dictionary word.  A fragment with no
+tiling (reach[0] is -1) is not searched again: it falls back to its
+baseline tokens, or to single characters.  So a fragment costs at most
+two searches.
 
 segment_sentence checks once per line, before any search, that the
 baseline tokens spell the line's fragments.  It cuts the baseline along
@@ -41,7 +37,7 @@ once for the whole line, and fills only the fragments that fell back.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Integral
 from typing import NamedTuple, Sequence
@@ -58,9 +54,6 @@ __all__ = [
 
 # scores closer than 1e-9 are ties and fall through to the structural keys
 _SCORE_QUANTUM = 1e9
-
-# each growth round after a dead beam widens the beam by this much per step of the bound
-_BEAM_STEP = 10
 
 
 @dataclass(frozen=True)
@@ -96,13 +89,18 @@ def _finals(
     lexicon: Lexicon,
     cache: SimilarityCache,
     params: BeamParams,
+    lattice: tuple[list[dict[int, int]], list[int]] | None = None,
 ) -> list[Hypothesis]:
     """The closed hypotheses that survive the beam over `fragment`; empty
     when the whole beam dies.
 
-    Each character either extends a hypothesis's buffer (while it still
-    fits max_word_len) or flushes the buffer as a dictionary word and opens
-    a fresh one.  A beam entry is one flat tuple
+    `lattice` is (ends, reach): ends[e] maps each start s to the id of the
+    word fragment[s:e], and a buffer opened at s takes characters up to
+    reach[s].  Without it the search runs over every dictionary word with
+    reach[s] = s + max_word_len; _completable gives the lattice of the
+    retry.  Each character either extends a hypothesis's buffer (while the
+    buffer stays within its reach) or flushes the buffer as a word of the
+    lattice and opens a fresh one.  A beam entry is one flat tuple
 
         (-round(score * 1e9), word_count, negated word lengths, seg, start, total)
 
@@ -124,22 +122,24 @@ def _finals(
     """
     if not fragment:
         raise ValueError("cannot decode an empty fragment")
-    beam_size, max_word_len, window = params.beam_size, params.max_word_len, params.window
+    beam_size, window = params.beam_size, params.window
     score_word = cache.mean_similarity
     eos = lexicon.id_of(EOS)
     n = len(fragment)
-    # the lattice: ends[e] maps each start s to the id of the word fragment[s:e]
-    ends: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for start, end, wid in lexicon.spans(fragment):
-        ends[end][start] = wid
+    if lattice is None:
+        ends: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        for start, end, wid in lexicon.spans(fragment):
+            ends[end][start] = wid
+        reach = list(range(params.max_word_len, n + params.max_word_len))
+    else:
+        ends, reach = lattice
     beam = [(0, 1, (), (lexicon.id_of(BOS),), 0, 0.0)]
     for p in range(n):
         flushable = ends[p]
-        fits = p + 1 - max_word_len  # buffers starting here or later take one more character
         cands = []
         for entry in beam:
             _, count, lens, seg, start, total = entry
-            if start >= fits:
+            if p < reach[start]:  # the buffer takes one more character
                 cands.append(entry)
             wid = flushable.get(start)
             if wid is not None:
@@ -171,6 +171,13 @@ def _finals(
     return finals
 
 
+def _best(finals: list[Hypothesis], lexicon: Lexicon) -> tuple[list[str], float] | None:
+    if not finals:
+        return None
+    best = min(finals)
+    return [lexicon.word_of(i) for i in best.seg[1:-1]], best.score
+
+
 def beam_search(
     fragment: str,
     lexicon: Lexicon,
@@ -183,51 +190,26 @@ def beam_search(
     Returns (words, score); the word list never includes the boundary
     markers, while the score does include the end marker's term.
     """
-    finals = _finals(fragment, lexicon, cache, params)
-    if not finals:
-        return None
-    best = min(finals)
-    return [lexicon.word_of(i) for i in best.seg[1:-1]], best.score
+    return _best(_finals(fragment, lexicon, cache, params), lexicon)
 
 
-def _min_tiling_len(fragment: str, lexicon: Lexicon) -> int | None:
-    """Smallest word-length bound at which the dictionary tiles `fragment`,
-    or None if no tiling exists at any bound.
+def _completable(fragment: str, lexicon: Lexicon) -> tuple[list[dict[int, int]], list[int]]:
+    """The lattice of the words that lie on some tiling of `fragment`.
 
-    need[e] is the smallest possible longest word over the tilings of
-    fragment[:e].  The spans come in order of start, and every span that
-    ends at s starts before it, so need[s] is final when it is read.
+    Returns (ends, reach) for _finals: ends[e] maps s to the id of the word
+    fragment[s:e], kept only when the dictionary tiles fragment[e:], and
+    reach[s] is the furthest end of a kept word from s, or -1 if there is
+    none; reach[n] = n stands for the empty tail.  The spans come in order
+    of start, so walked backwards, every reach[e] is final when it is read.
     """
     n = len(fragment)
-    never = n + 1
-    need = [0] + [never] * n
-    for s, e, _ in lexicon.spans(fragment):
-        need[e] = min(need[e], max(need[s], e - s))
-    return need[n] if need[n] < never else None
-
-
-def _decode_with_growth(
-    fragment: str,
-    lexicon: Lexicon,
-    cache: SimilarityCache,
-    params: BeamParams,
-) -> list[str] | None:
-    res = beam_search(fragment, lexicon, cache, params)
-    if res is not None:
-        return res[0]
-    tiling = _min_tiling_len(fragment, lexicon)
-    if tiling is None:
-        return None  # every round of the schedule would fail
-    k0, m0 = params.beam_size, params.max_word_len
-    # from the first bound that reaches the tiling bound through the fourth
-    # that covers the fragment or the longest word
-    cover = max(m0, min(len(fragment), lexicon.longest))
-    for m in range(max(m0 + 1, tiling), cover + 4):
-        res = beam_search(fragment, lexicon, cache, replace(
-            params, beam_size=k0 + _BEAM_STEP * (m - m0), max_word_len=m))
-        if res is not None:
-            return res[0]
-    return None
+    ends: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    reach = [-1] * n + [n]
+    for s, e, wid in reversed(lexicon.spans(fragment)):
+        if reach[e] >= 0:
+            ends[e][s] = wid
+            reach[s] = max(reach[s], e)
+    return ends, reach
 
 
 def _carve_baseline(tokens: Sequence[str], frags: Sequence[str]) -> list[list[str]]:
@@ -266,13 +248,23 @@ def segment_sentence(
     preserved exactly.  The baseline must spell the line's fragments,
     delimiters aside; that is checked before any search, and the baseline
     is cut only on a line with a fallback.  `counters`, when passed,
-    accumulates "fragments" and "fallbacks" tallies.
+    accumulates "fragments", "fallbacks" and "retries" tallies; a retry is
+    a fragment searched again over its completable lattice.
     """
     pieces = split_fragments(line)
     frags = fragment_texts(pieces)
     if baseline_tokens is not None and strip_delimiters("".join(baseline_tokens)) != "".join(frags):
         raise ValueError("baseline tokens do not cover the line's fragments")
-    segmented = [_decode_with_growth(frag, lexicon, cache, params) for frag in frags]
+    segmented: list[list[str] | None] = []
+    retries = 0
+    for frag in frags:
+        res = beam_search(frag, lexicon, cache, params)
+        if res is None:
+            ends, reach = _completable(frag, lexicon)
+            if reach[0] >= 0:  # some tiling exists, so this beam cannot die
+                retries += 1
+                res = _best(_finals(frag, lexicon, cache, params, (ends, reach)), lexicon)
+        segmented.append(None if res is None else res[0])
     failed = [i for i, words in enumerate(segmented) if words is None]
     if failed:
         base = _carve_baseline(baseline_tokens, frags) if baseline_tokens is not None else None
@@ -281,4 +273,5 @@ def segment_sentence(
     if counters is not None:
         counters["fragments"] = counters.get("fragments", 0) + len(frags)
         counters["fallbacks"] = counters.get("fallbacks", 0) + len(failed)
+        counters["retries"] = counters.get("retries", 0) + retries
     return reassemble(segmented, pieces)

@@ -280,7 +280,7 @@ def test_criterion_07_dynamic_growth_and_fallback():
         "xyz", lex, cache, BeamParams(), baseline_tokens=["xy", "z"]
     )
     assert out == "xy z"
-    print("criterion 7: one growth round decodes the 6-character word; fallback verbatim")
+    print("criterion 7: the retry decodes the 6-character word; fallback verbatim")
 
 
 def test_criterion_08_cache_transparency(synth_setup, tmp_path):

@@ -1,4 +1,4 @@
-"""Beam decoder: scoring, ranking, growth, and fallbacks."""
+"""Beam decoder: scoring, ranking, the retry over the completable lattice, and fallbacks."""
 import dataclasses
 import time
 from typing import NamedTuple
@@ -14,9 +14,8 @@ from embseg.decoder import (
     BeamParams,
     Hypothesis,
     _carve_baseline,
-    _decode_with_growth,
+    _completable,
     _finals,
-    _min_tiling_len,
     beam_search,
     segment_sentence,
 )
@@ -251,7 +250,7 @@ def test_dynamic_growth_six_char_word():
     counters = {}
     out = segment_sentence("abcdef", lex, cache, BeamParams(), counters=counters)
     assert out == "abcdef"
-    assert counters == {"fragments": 1, "fallbacks": 0}
+    assert counters == {"fragments": 1, "fallbacks": 0, "retries": 1}
 
 
 def test_fallback_uses_baseline_tokens_verbatim():
@@ -274,27 +273,6 @@ def test_growth_terminates_without_retry_cap():
     assert segment_sentence("zz", lex, cache, BeamParams()) == "z z"
 
 
-def _reference_growth(fragment, lex, cache, params, beam_step):
-    """The growth schedule with every round run, none skipped; a failed
-    round counts as covering once its bound reaches the fragment's length
-    or the longest word.  Returns the words and the (beam_size,
-    max_word_len) of every round searched."""
-    k, m = params.beam_size, params.max_word_len
-    rounds = []
-    covered_failures = 0
-    while True:
-        rounds.append((k, m))
-        res = beam_search(fragment, lex, cache, BeamParams(k, m, params.window))
-        if res is not None:
-            return res[0], rounds
-        if m >= min(len(fragment), lex.longest):
-            covered_failures += 1
-            if covered_failures >= 4:
-                return None, rounds
-        k += beam_step
-        m += 1
-
-
 @st.composite
 def _decode_cases(draw):
     words = sorted(draw(st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=10)))
@@ -314,36 +292,13 @@ def _decode_cases(draw):
         max_word_len=draw(st.integers(1, 3)),
         window=draw(st.integers(1, 4)),
     )
-    # a small growth step, so that pruning after growth is exercised
-    beam_step = draw(st.integers(1, 3))
-    return fragment, lex, cache, params, beam_step
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_decode_cases())
-def test_growth_skipping_matches_every_round(case):
-    fragment, lex, cache, params, beam_step = case
-    want, every_round = _reference_growth(fragment, lex, cache, params, beam_step)
-    # round 0, then the rounds whose bound reaches the tiling bound, up to
-    # the fourth covered failure
-    tiling = _min_tiling_len(fragment, lex)
-    want_rounds = every_round[:1] + [r for r in every_round[1:] if tiling is not None and r[1] >= tiling]
-    searched = []
-
-    def recording_search(fragment, lexicon, cache, params):
-        searched.append((params.beam_size, params.max_word_len))
-        return beam_search(fragment, lexicon, cache, params)
-
-    with mock.patch.object(decoder, "_BEAM_STEP", beam_step), \
-            mock.patch.object(decoder, "beam_search", recording_search):
-        assert _decode_with_growth(fragment, lex, cache, params) == want
-    assert searched == want_rounds
+    return fragment, lex, cache, params
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_decode_cases())
 def test_carried_rank_equals_recomputed(case):
-    fragment, lex, cache, params, _ = case
+    fragment, lex, cache, params = case
     window = params.window
     bos = lex.id_of(BOS)
     beam = [_Open((bos,), "", 1, 0.0, (bos,), ())]
@@ -359,7 +314,7 @@ def test_carried_rank_equals_recomputed(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_decode_cases())
 def test_beam_search_matches_reference_beam(case):
-    fragment, lex, cache, params, _ = case
+    fragment, lex, cache, params = case
     window = params.window
     for k, m in ((params.beam_size, params.max_word_len), (params.beam_size + 3, lex.longest + 2)):
         want_result, want_finals = _reference_beam(fragment, lex, cache, k, m, window)
@@ -372,13 +327,70 @@ def test_beam_search_matches_reference_beam(case):
 def test_one_lookup_per_scored_pair(case):
     # the reference beam makes one similarity call per (word, predecessor)
     # pair that its flushes and closes score, repeated pairs included
-    fragment, lex, cache, params, _ = case
+    fragment, lex, cache, params = case
     cache.hits = cache.misses = 0
     _reference_beam(fragment, lex, cache, params.beam_size, params.max_word_len, params.window)
     pairs = cache.hits + cache.misses
     cache.hits = cache.misses = 0
     _finals(fragment, lex, cache, params)
     assert cache.hits + cache.misses == pairs
+
+
+def _tiles(fragment, lex):
+    """Reference: whether dictionary words spell `fragment`, by a DP over
+    its prefixes."""
+    tiled = [True]
+    for e in range(1, len(fragment) + 1):
+        tiled.append(any(tiled[s] and fragment[s:e] in lex for s in range(e)))
+    return tiled[-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_falls_back_only_without_a_tiling(case):
+    fragment, lex, cache, params = case
+    counters = {}
+    out = segment_sentence(fragment, lex, cache, params, counters=counters)
+    if _tiles(fragment, lex):
+        words = out.split(" ")
+        assert "".join(words) == fragment
+        assert all(w in lex for w in words)
+        assert counters["fallbacks"] == 0
+    else:
+        assert (out, counters["fallbacks"], counters["retries"]) == (" ".join(fragment), 1, 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_at_most_two_searches_per_fragment(case):
+    fragment, lex, cache, params = case
+    real_finals, finals = decoder._finals, []
+
+    def recording_finals(*args):
+        finals.append(real_finals(*args))
+        return finals[-1]
+
+    counters = {}
+    with mock.patch.object(decoder, "_finals", recording_finals):
+        segment_sentence(fragment, lex, cache, params, counters=counters)
+    assert len(finals) == 1 + counters["retries"] <= 2
+    assert all(finals[1:])  # the retry's beam never dies
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_decode_cases())
+def test_wide_retry_equals_search_at_the_longest_word(case):
+    # a beam wider than the hypotheses keeps them all: at bound
+    # lexicon.longest every tiling closes, dead entries aside, and over the
+    # completable lattice the same tilings close in the same order
+    fragment, lex, cache, params = case
+    wide = dataclasses.replace(params, beam_size=1 << len(fragment))
+    want = _finals(fragment, lex, cache, dataclasses.replace(wide, max_word_len=lex.longest))
+    ends, reach = _completable(fragment, lex)
+    if reach[0] < 0:
+        assert want == []
+    else:
+        assert _finals(fragment, lex, cache, wide, (ends, reach)) == want
 
 
 def test_dead_buffer_holds_the_only_slot():
@@ -392,12 +404,13 @@ def test_dead_buffer_holds_the_only_slot():
     assert beam_search("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=5)) == (["aaaaa", "a"], -0.5)
     assert _finals("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=6)) == []
     assert beam_search("aaaaaa", lex, cache, BeamParams(beam_size=2, max_word_len=6))[0] == ["a"] * 6
-    # the bound already covers the fragment, so the growth round widens
-    # the beam and recovers
+    # over the completable lattice the buffer grows only up to aaaaa, the
+    # furthest word with a tiling after it, so the retry at the same beam of
+    # one cannot die
     counters = {}
     out = segment_sentence("aaaaaa", lex, cache, BeamParams(beam_size=1, max_word_len=6),
                            baseline_tokens=["aaaaaa"], counters=counters)
-    assert (out, counters["fallbacks"]) == ("a a a a a a", 0)
+    assert (out, counters["fallbacks"], counters["retries"]) == ("aaaaa a", 0, 1)
 
 
 @pytest.mark.parametrize("fragment", ["abcabc", "ababcab", "cabcabcab"])
@@ -412,16 +425,9 @@ def test_dead_buffers_match_reference(fragment, max_word_len):
         assert beam_search(fragment, lex, cache, params) == want_result
 
 
-def test_min_tiling_len():
-    lex = _make_lexicon(["ab", "abc", "cde", "d", "e"])
-    assert _min_tiling_len("abcde", lex) == 3   # ab|cde or abc|d|e
-    assert _min_tiling_len("abde", lex) == 2
-    assert _min_tiling_len("abx", lex) is None
-    assert _min_tiling_len("c", lex) is None
-
-
 def test_growth_skips_rounds_below_seven_char_word(monkeypatch):
-    # the only tiling of the fragment is the 7-character word
+    # the only tiling of the fragment is the 7-character word: the search at
+    # bound 5 dies, and the retry, which has no bound, finds the word
     lex = _make_lexicon(["abcdefg", "ab", "cd", "ef"])
     cache = SimilarityCache(init_embeddings(len(lex), 6, np.random.default_rng(2)))
     bounds = []
@@ -431,40 +437,34 @@ def test_growth_skips_rounds_below_seven_char_word(monkeypatch):
         return beam_search(fragment, lexicon, cache, params)
 
     monkeypatch.setattr(decoder, "beam_search", counting_search)
-    assert segment_sentence("abcdefg", lex, cache, BeamParams()) == "abcdefg"
-    assert bounds == [5, 7]  # the round at bound 6 advances the schedule but is not run
+    counters = {}
+    assert segment_sentence("abcdefg", lex, cache, BeamParams(), counters=counters) == "abcdefg"
+    assert bounds == [5]
+    assert counters == {"fragments": 1, "fallbacks": 0, "retries": 1}
 
 
 def test_growth_stops_past_the_longest_word(monkeypatch):
-    # a tiling exists (bound 7, the longest word), but every beam prunes
-    # it; past bound 7 the lattice no longer changes, so the four covered
-    # rounds at bounds 7-10 end the schedule, where growing the bound to
-    # the fragment's 55 characters would take 53 searches
+    # a tiling exists (it needs the longest word, 7 characters), but even a
+    # beam of 800 over every dictionary word prunes it, at any bound, so a
+    # schedule of wider beams and longer bounds fell back here.  The retry
+    # over the completable lattice decodes it at the default beam of 10.
     lex = _make_lexicon(["aabbb", "b", "bb", "bbbbabb", "bbbbbbb"])
     cache = SimilarityCache(np.random.default_rng(4).normal(size=(len(lex), 2)))
     fragment = "bbbbbbbbabbbbbbbbbbbbbbbbbbbbbbabbbbbbabbbbbbbbbbbbbabb"
-    assert (len(fragment), lex.longest, _min_tiling_len(fragment, lex)) == (55, 7, 7)
-    calls = []
+    assert (len(fragment), lex.longest) == (55, 7)
+    real_finals, calls = decoder._finals, []
 
-    def counting_search(*args):
+    def counting_finals(*args):
         calls.append(args)
-        return beam_search(*args)
+        return real_finals(*args)
 
-    monkeypatch.setattr(decoder, "beam_search", counting_search)
-    assert _decode_with_growth(fragment, lex, cache, BeamParams()) is None
-    assert len(calls) <= 5
-
-
-def test_growth_gives_up_after_four_covered_failures(monkeypatch):
-    # the word-length bound covers the fragment from the first round on;
-    # with one more beam slot per round, beams of 1 to 4 die and a beam of
-    # 5 survives, so the fourth covered round is the last one run
-    lex = _make_lexicon(["a", "ab", "aba", "bbab"])
-    cache = SimilarityCache(np.random.default_rng(83).normal(size=(len(lex), 3)))
-    monkeypatch.setattr(decoder, "_BEAM_STEP", 1)
-    want, _ = beam_search("aababaaa", lex, cache, BeamParams(beam_size=5, max_word_len=11))
-    assert _decode_with_growth("aababaaa", lex, cache, BeamParams(beam_size=2, max_word_len=8)) == want
-    assert _decode_with_growth("aababaaa", lex, cache, BeamParams(beam_size=1, max_word_len=8)) is None
+    monkeypatch.setattr(decoder, "_finals", counting_finals)
+    counters = {}
+    words = segment_sentence(fragment, lex, cache, BeamParams(), counters=counters).split(" ")
+    assert "".join(words) == fragment
+    assert all(w in lex for w in words)
+    assert counters == {"fragments": 1, "fallbacks": 0, "retries": 1}
+    assert len(calls) == 2
 
 
 def test_long_oov_fragment_falls_back_fast():
@@ -547,7 +547,7 @@ def test_fallbacks_take_their_baseline_cut(word, tokens, data):
     counters = {}
     out = segment_sentence(line, lex, _table_cache(lex), baseline_tokens=tokens, counters=counters)
     assert out == want
-    assert counters == {"fragments": len(frags), "fallbacks": sum(fallback)}
+    assert counters == {"fragments": len(frags), "fallbacks": sum(fallback), "retries": 0}
 
 
 def test_a_line_with_no_fallback_is_never_cut(monkeypatch):
@@ -586,7 +586,7 @@ def test_a_line_that_falls_back_everywhere_is_cut_once(monkeypatch):
     counters = {}
     out = segment_sentence("".join(tokens), lex, _table_cache(lex), baseline_tokens=tokens, counters=counters)
     assert out == " ".join(tokens).replace("，", " ，")
-    assert counters == {"fragments": 200, "fallbacks": 200}
+    assert counters == {"fragments": 200, "fallbacks": 200, "retries": 0}
     assert len(carves) == 1
     assert len(strips) <= len(tokens) + 1  # each token once, and the cover check
 
@@ -606,7 +606,7 @@ def test_segment_preserves_delimiters():
     counters = {}
     out = segment_sentence("ab，ab", lex, cache, counters=counters)
     assert out == "ab ， ab"
-    assert counters == {"fragments": 2, "fallbacks": 0}
+    assert counters == {"fragments": 2, "fallbacks": 0, "retries": 0}
 
 
 @pytest.mark.parametrize(
@@ -640,7 +640,7 @@ def test_leading_rank_key_is_a_small_int(case):
     # rank key in [-1e9, 1e9], below 2**30: list.sort then compares the
     # leading key of each beam entry on its one-digit-int path.  A score that
     # sums per-word terms is not bounded so and fails here.
-    fragment, lex, cache, params, _ = case
+    fragment, lex, cache, params = case
     for h in _finals(fragment, lex, cache, params):
         assert type(h.q) is int
         assert abs(h.q) <= 10**9
