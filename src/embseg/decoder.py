@@ -19,15 +19,18 @@ beam_search takes the beam size, word-length bound and window from one
 frozen BeamParams and returns (words, score), or None when the beam dies.
 It searches every dictionary word, with reach[s] = s + max_word_len.
 
+A fragment holding a character that no dictionary word holds has no
+tiling, so it falls back before any search, to its baseline tokens or to
+single characters; one character-class scan of the fragment tells it.
+beam_search runs once per fragment whose characters the dictionary holds.
 A fragment whose beam dies is searched once more, at the same beam size,
 over its completable lattice: one backward pass over `Lexicon.spans`
 keeps a word fragment[s:e] only when the dictionary tiles fragment[e:],
 and sets reach[s] to the furthest end kept.  Every entry of that beam
 can be completed, so it cannot die; no word-length bound applies, and
 words are limited by the longest dictionary word.  A fragment with no
-tiling (reach[0] is -1) is not searched again: it falls back to its
-baseline tokens, or to single characters.  So a fragment costs at most
-two searches.
+tiling (reach[0] is -1) is not searched again: it falls back.  So a
+fragment costs at most two searches.
 
 segment_sentence checks once per line, before any search, that the
 baseline tokens spell the line's fragments.  It cuts the baseline along
@@ -247,9 +250,11 @@ def segment_sentence(
     runs, single-space separated; line count and delimiter bytes are
     preserved exactly.  The baseline must spell the line's fragments,
     delimiters aside; that is checked before any search, and the baseline
-    is cut only on a line with a fallback.  `counters`, when passed,
-    accumulates "fragments", "fallbacks" and "retries" tallies; a retry is
-    a fragment searched again over its completable lattice.
+    is cut only on a line with a fallback.  A fragment holding a character
+    that no dictionary word holds falls back before any search.
+    `counters`, when passed, accumulates "fragments", "fallbacks" and
+    "retries" tallies; a retry is a fragment searched again over its
+    completable lattice.
     """
     pieces = split_fragments(line)
     frags = fragment_texts(pieces)
@@ -257,7 +262,11 @@ def segment_sentence(
         raise ValueError("baseline tokens do not cover the line's fragments")
     segmented: list[list[str] | None] = []
     retries = 0
+    foreign = lexicon._foreign
     for frag in frags:
+        if foreign(frag):  # a character that no word holds: no tiling, so no search
+            segmented.append(None)
+            continue
         res = beam_search(frag, lexicon, cache, params)
         if res is None:
             ends, reach = _completable(frag, lexicon)

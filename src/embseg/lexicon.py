@@ -2,14 +2,15 @@
 
 Each id's characters in running text are kept in one table, with "" for
 the boundary markers, which are tokens, not text.  The longest word, the
-prefix table behind `Lexicon.spans`, the keep override and the sampler's
-flank texts all read that table, so a marker is told from a real word in
-one place.
+prefix table behind `Lexicon.spans`, the decoder's test for characters no
+word holds, the keep override and the sampler's flank texts all read that
+table, so a marker is told from a real word in one place.
 """
 from __future__ import annotations
 
+import re
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -75,6 +76,15 @@ class Lexicon:
             for k in range(1, len(word)):
                 table.setdefault(word[:k], -1)
         return table
+
+    @cached_property
+    def _foreign(self) -> Callable[[str], re.Match | None]:
+        # `search` for a character that no real word holds, so a text it
+        # matches has no tiling by dictionary words; one character class,
+        # scanned in C.  Markers add no character.  Built on first decode,
+        # like _prefix_ids.
+        alphabet = "".join(sorted(set().union(*self._texts)))
+        return re.compile(f"[^{re.escape(alphabet)}]" if alphabet else "(?s).").search
 
     def spans(self, text: str) -> list[tuple[int, int, int]]:
         """(start, end, id) of every real word spelled by text[start:end],

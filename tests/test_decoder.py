@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from embseg import decoder
-from embseg.corpus import BOS, EOS, is_word_char
+from embseg.corpus import BOS, EOS, is_word_char, strip_delimiters
 from embseg.decoder import (
     BeamParams,
     Hypothesis,
@@ -274,14 +274,17 @@ def test_growth_terminates_without_retry_cap():
 
 
 @st.composite
-def _decode_cases(draw):
-    words = sorted(draw(st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=10)))
+def _decode_cases(draw, marks=""):
+    # `marks` adds delimiter characters to the words' alphabet; they widen
+    # the dictionary's alphabet but never reach a fragment
+    words = sorted(draw(st.sets(st.text(alphabet="abc" + marks, min_size=1, max_size=6), min_size=1, max_size=10)))
     # mostly dictionary words, with some characters that break a tiling ("x" is never a word)
     pieces = draw(st.lists(
         st.sampled_from(words) | st.text(alphabet="abcx", min_size=1, max_size=2),
         min_size=1, max_size=5,
     ))
-    fragment = "".join(pieces)[:12]
+    fragment = strip_delimiters("".join(pieces))[:12]
+    assume(fragment)
     lex = _make_lexicon(words)
     if draw(st.booleans()):
         cache = SimilarityCache(np.ones((len(lex), 4)))  # all ties: structure decides
@@ -336,6 +339,11 @@ def test_one_lookup_per_scored_pair(case):
     assert cache.hits + cache.misses == pairs
 
 
+def _holds_foreign(fragment, lex):
+    """Whether `fragment` holds a character that no real word holds."""
+    return not set(fragment) <= {ch for w in lex.words if w not in (BOS, EOS) for ch in w}
+
+
 def _tiles(fragment, lex):
     """Reference: whether dictionary words spell `fragment`, by a DP over
     its prefixes."""
@@ -373,8 +381,74 @@ def test_at_most_two_searches_per_fragment(case):
     counters = {}
     with mock.patch.object(decoder, "_finals", recording_finals):
         segment_sentence(fragment, lex, cache, params, counters=counters)
-    assert len(finals) == 1 + counters["retries"] <= 2
+    # a character outside the dictionary's alphabet leaves no tiling to
+    # search for; any other fragment is searched once, and maybe retried
+    if _holds_foreign(fragment, lex):
+        assert (len(finals), counters["retries"]) == (0, 0)
+    else:
+        assert len(finals) == 1 + counters["retries"] <= 2
     assert all(finals[1:])  # the retry's beam never dies
+
+
+def _searched_segment(fragment, lex, cache, params):
+    """Reference decode of one fragment without the alphabet test: the first
+    search, then the retry over the completable lattice when some tiling
+    exists, then the fallback to single characters.  Returns (out, counters)."""
+    res = beam_search(fragment, lex, cache, params)
+    retries = 0
+    if res is None:
+        ends, reach = _completable(fragment, lex)
+        if reach[0] >= 0:
+            retries = 1
+            res = decoder._best(_finals(fragment, lex, cache, params, (ends, reach)), lex)
+    words = list(fragment) if res is None else res[0]
+    return " ".join(words), {"fragments": 1, "fallbacks": int(res is None), "retries": retries}
+
+
+def _recording_spans(calls):
+    """A patch of Lexicon.spans that appends the text of each call to `calls`."""
+    real_spans = Lexicon.spans
+
+    def recording_spans(self, text):
+        calls.append(text)
+        return real_spans(self, text)
+
+    return mock.patch.object(Lexicon, "spans", recording_spans)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_decode_cases(marks="]^-\\"))
+def test_foreign_fragments_fall_back_before_any_search(case):
+    # the dictionary's words may hold "]", "^", "-" and "\\", which a
+    # character class must escape; they are delimiters, so no fragment holds them
+    fragment, lex, cache, params = case
+    want = _searched_segment(fragment, lex, cache, params)
+    searches, spans = [], []
+    counters = {}
+    cache.hits = cache.misses = 0
+    with mock.patch.object(decoder, "beam_search", lambda *args: searches.append(args) or beam_search(*args)), \
+            _recording_spans(spans):
+        out = segment_sentence(fragment, lex, cache, params, counters=counters)
+    assert (out, counters) == want
+    if _holds_foreign(fragment, lex):
+        assert (len(searches), len(spans), cache.hits + cache.misses) == (0, 0, 0)
+    else:
+        assert len(searches) == 1
+
+
+def test_foreign_tail_after_a_long_run_does_no_work():
+    # a first search over every "a" and a completable walk over all 20,001
+    # characters would take 2 spans calls and 79,994 lookups, about 1.8 s;
+    # the "b" that no word holds sends the fragment straight to its fallback
+    lex = _make_lexicon(["a"])
+    cache = _table_cache(lex)
+    fragment = "a" * 20_000 + "b"
+    spans, counters = [], {}
+    with _recording_spans(spans):
+        out = segment_sentence(fragment, lex, cache, BeamParams(), baseline_tokens=[fragment], counters=counters)
+    assert out == fragment
+    assert counters == {"fragments": 1, "fallbacks": 1, "retries": 0}
+    assert (len(spans), cache.hits + cache.misses) == (0, 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

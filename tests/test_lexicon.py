@@ -56,6 +56,19 @@ def test_load_leaves_prefixes_unbuilt(tmp_path):
     assert lex._prefix_ids["a"] == -1
 
 
+@pytest.mark.parametrize("words", [["a\\b"], ["\\", "ab"], ["-", "a", "c"], ["c-a"], ["]", "^b"], ["^", "a]"]])
+def test_foreign_matches_characters_that_no_real_word_holds(words, tmp_path):
+    path = str(tmp_path / "dict.tsv")
+    Lexicon.from_sentences([words]).save(path)
+    lex = Lexicon.load(path)
+    assert "_foreign" not in vars(lex)  # built on first decode, not at load
+    alphabet = set("".join(words))
+    for ch in "abc-^]\\⟨BOS⟩":
+        assert bool(lex._foreign(ch)) == (ch not in alphabet)  # markers add no character
+    assert not lex._foreign("".join(words))
+    assert Lexicon((BOS, EOS), (1, 1))._foreign("a")  # no real word: every character is foreign
+
+
 # pieces that can spell a boundary marker inside a word or a text, and
 # words longer than the decoder's default five-character bound
 _WORD = st.lists(st.sampled_from(["a", "b", "c", EOS]), min_size=1, max_size=8).map("".join)
