@@ -2,7 +2,10 @@
 
 Mixed-script lines are carved into maximal runs of word characters; the
 delimiter runs between them are carried through segmentation untouched,
-so the original line is always recoverable from the output.
+so the original line is always recoverable from the output.  A part's
+index is its role: fragments sit at the even indices, delimiter runs at
+the odd ones, and a line that starts or ends with a delimiter has an
+empty fragment at that end.
 """
 from embseg import fragment_texts, reassemble, split_fragments
 
@@ -15,13 +18,13 @@ LINES = [
 
 def main() -> None:
     for line in LINES:
-        pieces = split_fragments(line)
+        parts = split_fragments(line)
         print(f"line:      {line}")
-        for piece in pieces:
-            print(f"  {piece.kind:9s} {piece.text!r}")
-        frags = fragment_texts(pieces)
+        for i, text in enumerate(parts):
+            print(f"  {'delimiter' if i % 2 else 'fragment':9s} {text!r}")
+        frags = fragment_texts(parts)
         # stand-in segmentation: one character per word
-        rebuilt = reassemble([list(f) for f in frags], pieces)
+        rebuilt = reassemble([list(f) for f in frags], parts)
         print(f"rebuilt:   {rebuilt}")
         assert rebuilt.replace(" ", "") == line
         print()

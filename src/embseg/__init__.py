@@ -13,7 +13,6 @@ calls return.  Everything else in the modules is internal.
 from .corpus import (
     BOS,
     EOS,
-    Piece,
     add_boundary_markers,
     fragment_texts,
     is_word_char,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BOS",
     "EOS",
-    "Piece",
     "add_boundary_markers",
     "fragment_texts",
     "is_word_char",

@@ -68,7 +68,7 @@ def _add_eval(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_report(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("report", help="per-word precision deltas of two systems against gold")
+    p = sub.add_parser("report", help="per-word recall deltas of two systems against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--baseline", required=True, help="baseline system output")
     p.add_argument("--input", required=True, help="new system output")

@@ -2,23 +2,20 @@
 
 Raw text is cut into decodable fragments around delimiter runs, and
 segmented fragments are later stitched back together in the original
-order.  Boundary markers are reserved tokens wrapped around every
-training sentence so that sentence edges take part in the embedding
-geometry like ordinary words.
+order; a split line's parts take their role from their index.  Boundary
+markers are reserved tokens wrapped around every training sentence so
+that sentence edges take part in the embedding geometry like ordinary
+words.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
     "BOS",
     "EOS",
     "MARKERS",
-    "FRAGMENT",
-    "DELIMITER",
-    "Piece",
     "is_word_char",
     "strip_delimiters",
     "split_fragments",
@@ -35,19 +32,8 @@ BOS = "⟨BOS⟩"
 EOS = "⟨EOS⟩"
 MARKERS = frozenset((BOS, EOS))
 
-FRAGMENT = "FRAGMENT"
-DELIMITER = "DELIMITER"
-
 # Tokens colliding with a marker get this prepended; see escape_token.
 _ESCAPE = "⟨⟨"
-
-
-@dataclass(frozen=True)
-class Piece:
-    """One maximal run of same-class characters from a raw line."""
-
-    kind: str
-    text: str
 
 
 # The ranges of is_word_char, written down only here so that they can be
@@ -72,48 +58,43 @@ def strip_delimiters(text: str) -> str:
     return _DELIMITER_RUN.sub("", text)
 
 
-def split_fragments(line: str) -> list[Piece]:
-    """Cut a raw line into alternating fragment and delimiter pieces.
+def split_fragments(line: str) -> list[str]:
+    """Cut a raw line into fragments, at the even indices, and the
+    delimiter runs between them, at the odd ones.
 
-    Concatenating the piece texts reproduces the line byte for byte; no
-    normalization of any kind is applied.
+    Only the first and the last fragment may be empty.  Joining the parts
+    reproduces the line byte for byte; no normalization is applied.
     """
-    # the capture group keeps the delimiter runs, at the odd indices
-    parts = _DELIMITER_RUN.split(line)
-    return [
-        Piece(DELIMITER if i & 1 else FRAGMENT, text)
-        for i, text in enumerate(parts)
-        if text
-    ]
+    return _DELIMITER_RUN.split(line)
 
 
-def fragment_texts(pieces: Iterable[Piece]) -> list[str]:
-    """The fragment piece texts, in order."""
-    return [p.text for p in pieces if p.kind == FRAGMENT]
+def fragment_texts(parts: list[str]) -> list[str]:
+    """The non-empty fragments of a split line, in order."""
+    return [text for text in parts[::2] if text]
 
 
-def reassemble(fragments: list[list[str]], pieces: list[Piece]) -> str:
-    """Interleave segmented fragments with the original delimiter pieces.
+def reassemble(fragments: list[list[str]], parts: list[str]) -> str:
+    """Interleave segmented fragments with the delimiter runs of a split line.
 
-    Each fragment's word list must tile its piece text exactly.  Tokens
-    (words and delimiter runs) are joined by single spaces, so removing
-    the inserted separators recovers the raw line.
+    Each of `fragment_texts(parts)` gets a word list that must tile it
+    exactly.  Tokens (words and delimiter runs) are joined by single
+    spaces, so removing the inserted separators recovers the raw line.
     """
-    n_frag = sum(1 for p in pieces if p.kind == FRAGMENT)
+    n_frag = len(fragment_texts(parts))
     if len(fragments) != n_frag:
         raise ValueError(
             f"fragment count mismatch: {len(fragments)} segmentations for {n_frag} fragments"
         )
     tokens: list[str] = []
     seg = iter(fragments)
-    for piece in pieces:
-        if piece.kind == DELIMITER:
-            tokens.append(piece.text)
-            continue
-        words = next(seg)
-        if "".join(words) != piece.text:
-            raise ValueError(f"segmentation does not tile fragment {piece.text!r}")
-        tokens.extend(words)
+    for i, text in enumerate(parts):
+        if i & 1:
+            tokens.append(text)
+        elif text:
+            words = next(seg)
+            if "".join(words) != text:
+                raise ValueError(f"segmentation does not tile fragment {text!r}")
+            tokens.extend(words)
     return " ".join(tokens)
 
 

@@ -9,20 +9,23 @@ geometry identical to the metric the decoder ranks hypotheses with.
 rng, draws the subsampling keeps, builds each occurrence batch, sets the
 learning rate, feeds `sample_sink`, runs the repair sweeps and logs
 them.  A worker steps: where `os.fork` exists it is a child process that
-applies the samples, sent to it in chunks of packed records over a pipe,
-to a table in an anonymous shared mapping; elsewhere the caller applies
-the same chunks itself, through the same function.  At every sweep and
-at the end the caller waits until the worker has applied every sample
-sent, then repairs the table itself, so the updates and the rng draws
-keep their one-process order.  The worker ignores SIGINT, exits when
-its pipe closes, and is reaped before `train` returns or raises; an
-exception it raises comes out of `train` with its type and message.
+applies the samples, sent to it in chunks of records over a pipe, to a
+table in an anonymous shared mapping; elsewhere the caller applies the
+same chunks itself, through the same function.  A record is
+`(target, other, rate)`: the rate is the learning rate times the
+sample's weight, negated for the three negative channels.  At every
+sweep and at the end the caller waits until the worker has applied
+every sample sent, then repairs the table itself, so the updates and
+the rng draws keep their one-process order.  The worker ignores SIGINT,
+exits when its pipe closes, and is reaped before `train` returns or
+raises; an exception it raises comes out of `train` with its type and
+message.
 
 Each role spends its time in numpy's per-call work rather than in Python
 calls per token and per pair: `Lexicon.encode` maps the corpus to ids
 once, the sampler builds its samples in C, and the step reads row views
 made once per training run.  The result is bit for bit that of one
-`_stepper(table)` step per sample in turn, each indexing the table per
+`_stepper(table)` step per record in turn, each indexing the table per
 call, in one process.
 
 `emb.txt`, the text that `save_embeddings` writes, is the format of
@@ -55,7 +58,7 @@ import numpy as np
 
 from .corpus import read_lines
 from .lexicon import Lexicon, SubsampleTable
-from .sampler import CTX_NEG, CTX_POS, INWORD_NEG, NOISE_NEG, TrainingSample, build_occurrence_batch
+from .sampler import CTX_POS, TrainingSample, build_occurrence_batch
 from .simcache import _MIN_NORM
 
 if TYPE_CHECKING:
@@ -79,10 +82,9 @@ _CHUNK = 1024        # records per chunk the caller sends to the worker
 # _CHUNK, so the worker restarts at once and then keeps ahead of the caller
 _FIRST_CHUNK = 16
 
-# one sample and its learning rate: target, other, channel code, weight, lr
-_RECORD = struct.Struct("<iiBdd")
-_CHANNELS = (CTX_POS, CTX_NEG, INWORD_NEG, NOISE_NEG)  # by channel code
-_CODE = {source: code for code, source in enumerate(_CHANNELS)}
+# one sample and its learning rate: target, other and the signed rate,
+# lr * weight for a positive and its negation for a negative
+_RECORD = struct.Struct("<iid")
 
 # the binary copy of an embedding text: magic, format version, V, d, the
 # byte length of the words and the SHA-256 of the text's bytes; then the
@@ -140,16 +142,18 @@ def init_embeddings(vocab_size: int, dim: int, rng: np.random.Generator) -> np.n
         table[bad] = rng.uniform(-bound, bound, size=(int(bad.sum()), dim))
 
 
-def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], None]:
+def _stepper(rows: Sequence[np.ndarray]) -> Callable[[int, int, float], None]:
     """A train step on `rows[id]` that owns four 0-d float64 cells for its
     scalars.
 
-    One step is a gradient-ascent update on the two rows a sample
-    touches: d/dcos of weight*log(sigmoid(s*cos)) is
-    weight*s*sigmoid(-s*cos), and dcos/du = v/(|u||v|) - cos*u/|u|^2
-    (symmetrically for v).  Both deltas are computed from the pre-step
-    rows, then applied in place through the row views (when target ==
-    other both land on the same row, in the same order).
+    A step takes `(target, other, rate)`, where `rate` is lr * weight * s
+    and the label sign s is +1 for a positive and -1 for a negative: it
+    is a gradient-ascent update on the two rows of the pair.  d/dcos of
+    weight*log(sigmoid(s*cos)) is weight*s*sigmoid(-s*cos), and
+    dcos/du = v/(|u||v|) - cos*u/|u|^2 (symmetrically for v).  Both deltas
+    are computed from the pre-step rows, then applied in place through
+    the row views (when target == other both land on the same row, in the
+    same order).
 
     `rows` is the table itself, indexed per call, or `list(table)`, its row
     views made once: both are views of the same memory.  numpy scales a
@@ -162,11 +166,10 @@ def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], No
     inv_c = np.empty(())   # 1 / (|u| |v|)
     cu_c = np.empty(())    # cos / |u|^2
     cv_c = np.empty(())    # cos / |v|^2
-    coef_c = np.empty(())  # lr * weight * dloss/dcos
+    coef_c = np.empty(())  # rate * sigmoid(-s * cos)
     exp = math.exp
 
-    def step(sample: TrainingSample, lr: float) -> None:
-        target, other, source, weight = sample
+    def step(target: int, other: int, rate: float) -> None:
         u = rows[target]
         v = rows[other]
         # exactly np.linalg.norm of a 1-D float64 vector, without its overhead
@@ -176,9 +179,9 @@ def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], No
             raise ValueError("cosine undefined for a zero vector")
         inv = 1.0 / (nu * nv)
         cos = float(u.dot(v)) * inv
-        sign = 1.0 if source == CTX_POS else -1.0
-        # sigmoid(x) at x = -sign * cos, in the form that is stable for its sign
-        x = -sign * cos
+        # sigmoid(x) at x = -s * cos, in the form that is stable for its sign;
+        # a zero rate gives a zero coef whatever the sign read here
+        x = cos if rate < 0 else -cos
         if x >= 0:
             sig = 1.0 / (1.0 + exp(-x))
         else:
@@ -187,7 +190,7 @@ def _stepper(rows: Sequence[np.ndarray]) -> Callable[[TrainingSample, float], No
         inv_c[()] = inv
         cu_c[()] = cos / (nu * nu)
         cv_c[()] = cos / (nv * nv)
-        coef_c[()] = lr * weight * sign * sig
+        coef_c[()] = rate * sig
         # du = coef * (v*inv - u*cos/|u|^2), dv symmetrically, both from
         # the pre-step rows; IEEE products commute, so *= coef is exact
         du = v * inv_c
@@ -222,14 +225,13 @@ def _shared_table(emb: np.ndarray) -> np.ndarray:
     return table
 
 
-def _apply(step: Callable[[TrainingSample, float], None], chunk: bytes) -> None:
+def _apply(step: Callable[[int, int, float], None], chunk: bytes) -> None:
     """Run `step` on each record of a chunk, in order: the worker's work."""
-    channels = _CHANNELS
-    for target, other, code, weight, lr in _RECORD.iter_unpack(chunk):
-        step((target, other, channels[code], weight), lr)
+    for target, other, rate in _RECORD.iter_unpack(chunk):
+        step(target, other, rate)
 
 
-def _serve(step: Callable[[TrainingSample, float], None], chunks: Connection,
+def _serve(step: Callable[[int, int, float], None], chunks: Connection,
            reports: Connection) -> None:
     """The forked worker's loop: apply each chunk read from `chunks` in
     order, and answer each meet (an empty chunk) with None on `reports`
@@ -250,7 +252,7 @@ def _serve(step: Callable[[TrainingSample, float], None], chunks: Connection,
             return
 
 
-def _run_worker(step: Callable[[TrainingSample, float], None], chunks: Connection,
+def _run_worker(step: Callable[[int, int, float], None], chunks: Connection,
                 reports: Connection, mask: set[signal.Signals]) -> NoReturn:
     """The forked child, born with SIGINT blocked: ignore SIGINT, restore
     the signal `mask`, serve, then exit without the parent's clean-up."""
@@ -282,7 +284,7 @@ class _Worker:
     pipe, which ends the child, and reaps it.
     """
 
-    def __init__(self, step: Callable[[TrainingSample, float], None]) -> None:
+    def __init__(self, step: Callable[[int, int, float], None]) -> None:
         self._step = step
         self._records: list[bytes] = []
         self._limit = _FIRST_CHUNK               # records that make the next chunk
@@ -316,8 +318,10 @@ class _Worker:
         self._chunks, self._reports, self._pid = chunks_w, reports_r, pid
 
     def add(self, batch: Sequence[TrainingSample], lr: float) -> None:
-        pack, code = _RECORD.pack, _CODE
-        self._records += [pack(t, o, code[s], w, lr) for t, o, s, w in batch]
+        pack = _RECORD.pack
+        self._records += [
+            pack(t, o, lr * w if s == CTX_POS else -(lr * w)) for t, o, s, w in batch
+        ]
         if len(self._records) >= self._limit:
             self._send()
 
@@ -397,8 +401,8 @@ def train(
     wrapped = list(map(lexicon.encode, sentences))
 
     total_positions = sum(map(len, wrapped)) * config.epochs
-    p_sub = table.p_sub.tolist()
-    keep = table.keep_override.tolist()
+    # a draw is below 1.0, so an override word is always kept
+    keep_p = np.where(table.keep_override, 1.0, table.p_sub).tolist()
     lr_span = _LR_START - _LR_END
     processed = 0  # token positions before the current sentence
     batches = 0
@@ -409,7 +413,7 @@ def train(
             for ids in wrapped:
                 draws = rng.random(len(ids)).tolist()
                 for i, wid in enumerate(ids):
-                    if not (keep[wid] or draws[i] < p_sub[wid]):
+                    if draws[i] >= keep_p[wid]:
                         continue
                     # a wrapped sentence holds both markers, so every position has context
                     batch = build_occurrence_batch(

@@ -3,18 +3,20 @@
 Each is the straightforward form of something the library computes
 faster or never needs: the objective's cosine and loss terms, one
 training step on a fresh table, a segmentation's score recomputed from
-scratch, the inverse of the marker escape, and raw mixed-script lines
-for round-trip checks.  They live here, beside the tests that check the
-library against them, and not in the package's public surface.
+scratch, a fragment's best segmentation by exhaustive enumeration, the
+inverse of the marker escape, and raw mixed-script lines for round-trip
+checks.  They live here, beside the tests that check the library
+against them, and not in the package's public surface.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from embseg.corpus import _ESCAPE
+from embseg.corpus import BOS, EOS, _ESCAPE
+from embseg.lexicon import Lexicon
 from embseg.sampler import CTX_POS, TrainingSample
 from embseg.simcache import _MIN_NORM, SimilarityCache
 from embseg.trainer import _stepper
@@ -54,10 +56,12 @@ def train_step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
     dcos/du = v/(|u||v|) - cos*u/|u|^2 (symmetrically for v).  Both deltas
     are computed from the pre-step rows, then applied in place through
     the row views (when target == other both land on the same row, in the
-    same order).  This is the step `train` runs, here indexing `emb` per
-    call and with fresh scalar cells for this call.
+    same order).  This is the step `train` runs, on the record `train`
+    packs, here indexing `emb` per call and with fresh scalar cells for
+    this call.
     """
-    _stepper(emb)(sample, lr)
+    rate = lr * sample.weight
+    _stepper(emb)(sample.target, sample.other, rate if sample.source == CTX_POS else -rate)
 
 
 def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int) -> float:
@@ -74,6 +78,40 @@ def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int)
         preds = seg[max(0, i - window):i]
         total += sum(cache.similarity(seg[i], p) for p in preds) / len(preds)
     return total / (len(seg) - 1)
+
+
+def _all_segmentations(frag: str) -> Iterator[list[str]]:
+    n = len(frag)
+    for mask in range(1 << max(0, n - 1)):
+        words = []
+        start = 0
+        for i in range(n - 1):
+            if (mask >> i) & 1:
+                words.append(frag[start:i + 1])
+                start = i + 1
+        words.append(frag[start:])
+        yield words
+
+
+def oracle_best(frag: str, lexicon: Lexicon, cache: SimilarityCache,
+                window: int) -> tuple[list[str], float] | None:
+    """The best dictionary segmentation of `frag` and its score, found by
+    scoring every one of its 2^(n-1) segmentations from scratch with
+    `recompute_mean_logp`, or None when no dictionary words tile it.
+
+    Ranks by the score rounded to 1e-9, then fewer words, then longer
+    words first, then the word ids.
+    """
+    best_key, best = None, None
+    for words in _all_segmentations(frag):
+        if any(w not in lexicon for w in words):
+            continue
+        ids = [lexicon.id_of(BOS)] + [lexicon.id_of(w) for w in words] + [lexicon.id_of(EOS)]
+        mean = recompute_mean_logp(ids, cache, window)
+        key = (-round(mean * 1e9), len(words), tuple(-len(w) for w in words), tuple(ids))
+        if best_key is None or key < best_key:
+            best_key, best = key, (words, mean)
+    return best
 
 
 def unescape_token(token: str) -> str:

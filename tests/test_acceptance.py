@@ -31,7 +31,7 @@ from embseg.sampler import (
 from embseg.simcache import SimilarityCache, build_cache, load_cache, save_cache
 from embseg.synth import corrupt, default_language, generate_corpus
 from embseg.trainer import TrainerConfig, init_embeddings, train
-from oracles import make_mixed_lines, recompute_mean_logp, sample_loss, train_step
+from oracles import make_mixed_lines, oracle_best, recompute_mean_logp, sample_loss, train_step
 
 
 # ---------------------------------------------------------------- fixtures
@@ -47,36 +47,6 @@ def synth_setup():
     emb = train(base, lex, TrainerConfig(dim=64, seed=11))
     cache = build_cache(base, lex, emb)
     return lang, gold, base, lex, emb, cache
-
-
-def _all_segmentations(frag):
-    n = len(frag)
-    for mask in range(1 << max(0, n - 1)):
-        words = []
-        start = 0
-        for i in range(n - 1):
-            if (mask >> i) & 1:
-                words.append(frag[start:i + 1])
-                start = i + 1
-        words.append(frag[start:])
-        yield words
-
-
-def _oracle_best(frag, lex, cache, window):
-    best_key, best = None, None
-    for words in _all_segmentations(frag):
-        if any(w not in lex for w in words):
-            continue
-        ids = [lex.id_of(BOS)] + [lex.id_of(w) for w in words] + [lex.id_of(EOS)]
-        total = 0.0
-        for i in range(1, len(ids)):
-            preds = ids[max(0, i - window):i]
-            total += sum(cache.similarity(ids[i], p) for p in preds) / len(preds)
-        mean = total / (len(ids) - 1)
-        key = (-round(mean * 1e9), len(words), tuple(-len(w) for w in words), tuple(ids))
-        if best_key is None or key < best_key:
-            best_key, best = key, (words, mean)
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +80,7 @@ def beam_oracle_runs():
         params = BeamParams(beam_size=1 << (n - 1), max_word_len=n)
         res = beam_search(frag, lex, cache, params)
         finals = _finals(frag, lex, cache, params)
-        want = _oracle_best(frag, lex, cache, 4)
+        want = oracle_best(frag, lex, cache, 4)
         max_dev = max(
             (abs(h.score - recompute_mean_logp(h.seg, cache, 4)) for h in finals),
             default=0.0,
@@ -351,10 +321,10 @@ def test_criterion_10_round_trip_and_closure(synth_setup):
     lines = make_mixed_lines(10_000, np.random.default_rng(99))
     assert len(lines) == 10_000
     for line in lines:
-        pieces = split_fragments(line)
-        assert "".join(p.text for p in pieces) == line
-        frags = fragment_texts(pieces)
-        assert reassemble([list(f) for f in frags], pieces).replace(" ", "") == line
+        parts = split_fragments(line)
+        assert "".join(parts) == line
+        frags = fragment_texts(parts)
+        assert reassemble([list(f) for f in frags], parts).replace(" ", "") == line
 
     _, gold, base, lex, _, cache = synth_setup
     counters = {}

@@ -8,11 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from embseg.corpus import (
     BOS,
-    DELIMITER,
     EOS,
-    FRAGMENT,
     MARKERS,
-    Piece,
     add_boundary_markers,
     escape_token,
     fragment_texts,
@@ -28,16 +25,15 @@ from oracles import make_mixed_lines, unescape_token
 
 
 def test_split_fragments_example():
-    assert split_fragments("x1。y2！") == [
-        Piece(FRAGMENT, "x1"),
-        Piece(DELIMITER, "。"),
-        Piece(FRAGMENT, "y2"),
-        Piece(DELIMITER, "！"),
-    ]
+    # fragments at the even indices, delimiter runs at the odd ones; a line
+    # that ends with a delimiter ends with an empty fragment
+    assert split_fragments("x1。y2！") == ["x1", "。", "y2", "！", ""]
+    assert fragment_texts(split_fragments("x1。y2！")) == ["x1", "y2"]
 
 
 def test_split_fragments_empty_line():
-    assert split_fragments("") == []
+    assert split_fragments("") == [""]
+    assert fragment_texts(split_fragments("")) == []
 
 
 @pytest.mark.parametrize(
@@ -80,12 +76,13 @@ def test_word_char_class_over_the_bmp():
     want = [_in_word_ranges(cp) for cp in range(0x10000)]
     assert [is_word_char(ch) for ch in text] == want
     assert strip_delimiters(text) == "".join(ch for ch, keep in zip(text, want) if keep)
-    pieces = split_fragments(text)
-    assert "".join(p.text for p in pieces) == text
+    parts = split_fragments(text)
+    assert "".join(parts) == text
+    assert all(parts[1:-1])  # only the end fragments may be empty
     pos = 0
-    for p in pieces:
-        assert set(want[pos:pos + len(p.text)]) == {p.kind == FRAGMENT}
-        pos += len(p.text)
+    for i, part in enumerate(parts):
+        assert set(want[pos:pos + len(part)]) <= {i % 2 == 0}
+        pos += len(part)
 
 
 _ALPHABET = "天地人山水ab12５Ａ。，!? ⟨⟩«»"
@@ -94,21 +91,40 @@ _ALPHABET = "天地人山水ab12５Ａ。，!? ⟨⟩«»"
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.text(alphabet=_ALPHABET, max_size=40))
 def test_split_fragments_partitions_line(line):
-    pieces = split_fragments(line)
-    assert "".join(p.text for p in pieces) == line
-    for p in pieces:
-        assert p.text
-        assert {is_word_char(c) for c in p.text} == {p.kind == FRAGMENT}
-    for left, right in zip(pieces, pieces[1:]):
-        assert left.kind != right.kind
+    parts = split_fragments(line)
+    assert len(parts) % 2 == 1
+    assert "".join(parts) == line
+    for i, part in enumerate(parts):
+        # even: a maximal word-character run, empty only at either end;
+        # odd: a non-empty delimiter run between two fragments
+        if i % 2 == 0 and not part:
+            assert i in (0, len(parts) - 1)
+            continue
+        assert {is_word_char(c) for c in part} == {i % 2 == 0}
 
 
 def test_reassemble_round_trip_mixed_lines():
     rng = np.random.default_rng(0)
     for line in make_mixed_lines(200, rng):
-        pieces = split_fragments(line)
-        frags = fragment_texts(pieces)
-        out = reassemble([list(f) for f in frags], pieces)
+        parts = split_fragments(line)
+        frags = fragment_texts(parts)
+        out = reassemble([list(f) for f in frags], parts)
+        assert out.replace(" ", "") == line
+
+
+_DELIMS = "。，!?Ａ⟨⟩«»"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(alphabet=_DELIMS, min_size=1, max_size=4),
+       st.text(alphabet=_ALPHABET.replace(" ", ""), max_size=30))
+def test_reassemble_round_trips_lines_with_delimiter_ends(run, body):
+    # a line that starts or ends with a delimiter splits with an empty first
+    # or last fragment, which gets no word list and yields no token
+    for line in (run + body, body + run, run + body + run, run):
+        parts = split_fragments(line)
+        out = reassemble([list(f) for f in fragment_texts(parts)], parts)
+        assert "" not in out.split(" ")
         assert out.replace(" ", "") == line
 
 

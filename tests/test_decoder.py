@@ -22,7 +22,7 @@ from embseg.decoder import (
 from embseg.lexicon import Lexicon
 from embseg.simcache import SimilarityCache
 from embseg.trainer import init_embeddings
-from oracles import recompute_mean_logp
+from oracles import oracle_best, recompute_mean_logp
 
 
 def _make_lexicon(words):
@@ -138,36 +138,6 @@ def _reference_beam(fragment, lex, cache, beam_size, max_word_len, window):
     return ([lex.word_of(i) for i in best.seg[1:-1]], best.score), finals
 
 
-def _all_segmentations(frag):
-    n = len(frag)
-    for mask in range(1 << max(0, n - 1)):
-        words = []
-        start = 0
-        for i in range(n - 1):
-            if (mask >> i) & 1:
-                words.append(frag[start:i + 1])
-                start = i + 1
-        words.append(frag[start:])
-        yield words
-
-
-def _oracle_best(frag, lex, cache, window):
-    best_key, best = None, None
-    for words in _all_segmentations(frag):
-        if any(w not in lex for w in words):
-            continue
-        ids = [lex.id_of(BOS)] + [lex.id_of(w) for w in words] + [lex.id_of(EOS)]
-        total = 0.0
-        for i in range(1, len(ids)):
-            preds = ids[max(0, i - window):i]
-            total += sum(cache.similarity(ids[i], p) for p in preds) / len(preds)
-        mean = total / (len(ids) - 1)
-        key = (-round(mean * 1e9), len(words), tuple(-len(w) for w in words), tuple(ids))
-        if best_key is None or key < best_key:
-            best_key, best = key, (words, mean)
-    return best
-
-
 def test_beam_matches_exhaustive_small():
     rng = np.random.default_rng(5)
     chars = "abcde"
@@ -178,7 +148,7 @@ def test_beam_matches_exhaustive_small():
         lex = _make_lexicon(subs)
         cache = SimilarityCache(init_embeddings(len(lex), 10, rng))
         got = beam_search(frag, lex, cache, BeamParams(beam_size=1 << (n - 1), max_word_len=n))
-        want = _oracle_best(frag, lex, cache, 4)
+        want = oracle_best(frag, lex, cache, 4)
         assert got is not None
         assert got[0] == want[0]
         assert abs(got[1] - want[1]) <= 1e-9

@@ -19,7 +19,7 @@ MODULES = ["embseg"] + [
 ]
 
 PUBLIC = [
-    "AlignmentError", "BOS", "BeamParams", "EOS", "EvalReport", "Lexicon", "Piece",
+    "AlignmentError", "BOS", "BeamParams", "EOS", "EvalReport", "Lexicon",
     "SimilarityCache", "SubsampleTable", "ToyLanguage", "TrainerConfig", "TrainingSample",
     "WordImprovementRow", "__version__", "add_boundary_markers", "beam_search",
     "build_cache", "build_occurrence_batch", "corrupt", "default_language", "fragment_texts",
@@ -54,7 +54,7 @@ def test_every_all_entry_resolves(name):
 
 
 def test_package_exports_exactly_the_public_surface():
-    assert len(PUBLIC) == 34 and len(DROPPED) == 12
+    assert len(PUBLIC) == 33 and len(DROPPED) == 12
     assert sorted(embseg.__all__) == PUBLIC
 
 
