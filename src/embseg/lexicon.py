@@ -3,8 +3,9 @@
 Each id's characters in running text are kept in one table, with "" for
 the boundary markers, which are tokens, not text.  The longest word, the
 prefix table behind `Lexicon.spans`, the decoder's test for characters no
-word holds, the keep override and the sampler's flank texts all read that
-table, so a marker is told from a real word in one place.
+word holds, the keep override, and the sampler's flank texts and in-word
+texts all read that table, so a marker is told from a real word in one
+place.
 """
 from __future__ import annotations
 
@@ -188,9 +189,9 @@ class SubsampleTable:
     summed keep probabilities of the distinct real words spelled by its
     proper substrings (`Lexicon.spans`), N being their number.  Marker
     tokens are atomic symbols: they never receive the override and never
-    count as a word's part, even where a word spells one.  Both are
-    arrays indexed by word id: `p_sub` holds the keep probabilities and
-    `keep_override` the override.
+    count as a word's part, even where a word spells one.  The table
+    holds two arrays indexed by word id, both computed on construction:
+    `p_sub`, the keep probabilities, and `keep_override`, the override.
     """
 
     def __init__(self, lexicon: Lexicon, epsilon: float = 1e-5, mu: float = 0.5):
@@ -198,22 +199,16 @@ class SubsampleTable:
             raise ValueError("epsilon must be positive")
         if mu <= 0:
             raise ValueError("mu must be positive")
-        self.lexicon = lexicon
-        self.mu = mu
         freqs = lexicon.counts / lexicon.total_tokens
         self.p_sub = np.minimum(1.0, np.sqrt(epsilon / freqs))
         self.keep_override = np.zeros(len(lexicon), dtype=bool)
         for wid, word in enumerate(lexicon._texts):
-            if word:  # never a marker
-                self.keep_override[wid] = self._multichar_keep(word, wid)
-
-    def _multichar_keep(self, word: str, wid: int) -> bool:
-        # distinct ids of the proper-substring spans, in span order, so the
-        # sum below is the same in every process
-        parts = dict.fromkeys(
-            part for start, end, part in self.lexicon.spans(word) if end - start < len(word)
-        )
-        if not parts:
-            return False
-        threshold = self.mu / len(parts) * float(self.p_sub[list(parts)].sum())
-        return float(self.p_sub[wid]) < threshold
+            # distinct ids of the proper-substring spans, in span order, so
+            # the sum below is the same in every process; a marker's text
+            # is empty and has none
+            parts = list(dict.fromkeys(
+                part for start, end, part in lexicon.spans(word) if end - start < len(word)
+            ))
+            if parts:
+                threshold = mu / len(parts) * float(self.p_sub[parts].sum())
+                self.keep_override[wid] = float(self.p_sub[wid]) < threshold

@@ -10,13 +10,15 @@ For one sampled target occurrence the batch holds
 Negatives share one class weight computed from the batch's class counts.
 The boundary markers are tokens, not text: no negative pairs a substring
 with a marker, even where a word spells the marker's characters.  Both
-substring channels read the real words a text spells from `Lexicon.spans`.
+substring channels read a word's characters from `Lexicon._texts`, where a
+marker's are empty, and the real words a text spells from `Lexicon.spans`.
 
 The sampler reads token ids only: a sentence is mapped once per stage by
-`Lexicon.encode`.  A batch is built with few Python calls per pair: its
-samples are made in C, the flank texts are joined from the lexicon's
-per-id texts, and a word's in-word negatives are found once per lexicon,
-on the word's first kept occurrence.
+`Lexicon.encode`.  A batch is built with few Python calls per pair: the
+window is cut once, and its two flanks give both the positives and the
+context negatives; its samples are made in C, the flank texts are joined
+from the lexicon's per-id texts, and a word's in-word negatives are found
+once per lexicon, on the word's first kept occurrence.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import MARKERS
 from .lexicon import Lexicon
 
 __all__ = [
@@ -66,29 +67,19 @@ class TrainingSample(NamedTuple):
 _new_sample = partial(tuple.__new__, TrainingSample)
 
 
-def positives(sentence: list[int], i: int, window: int) -> list[tuple[int, int]]:
-    """(target, context) id pairs for every window position, clipped at edges."""
-    lo = max(0, i - window)
-    hi = min(len(sentence), i + window + 1)
-    return [(sentence[i], sentence[j]) for j in range(lo, hi) if j != i]
-
-
-def context_negatives(ids: list[int], i: int, window: int, lexicon: Lexicon) -> list[tuple[int, int]]:
+def context_negatives(target: int, left: list[int], right: list[int], lexicon: Lexicon) -> list[tuple[int, int]]:
     """Negative pairs from mis-readings of the flanking character streams.
 
-    The characters of the left and right context words are concatenated
-    (markers excluded; they are not character sequences of real text), and
-    every distinct real word spelled by a substring, other than the context
-    words, becomes a negative for the target.  Pairs come out in order of
-    the first substring spelling them, by start and then end offset, left
-    flank first.
+    `left` and `right` are the context word ids before and after the
+    target, as the window cuts them.  The characters of each flank's words
+    are concatenated (a marker's text is empty: markers are not character
+    sequences of real text), and every distinct real word spelled by a
+    substring, other than the context words, becomes a negative for the
+    target.  Pairs come out in order of the first substring spelling them,
+    by start and then end offset, left flank first.
     """
-    lo = max(0, i - window)
-    hi = min(len(ids), i + window + 1)
-    left, right = ids[lo:i], ids[i + 1:hi]
     skip = set(left + right)  # context words, then each word emitted
-    target = ids[i]
-    text = lexicon._texts.__getitem__  # a marker's text is ""
+    text = lexicon._texts.__getitem__
     out: list[tuple[int, int]] = []
     for flank in (left, right):
         for _, _, wid in lexicon.spans("".join(map(text, flank))):
@@ -98,16 +89,17 @@ def context_negatives(ids: list[int], i: int, window: int, lexicon: Lexicon) -> 
     return out
 
 
-def inword_negatives(word: str, lexicon: Lexicon) -> list[tuple[int, int]]:
-    """Ordered disjoint substring pairs of a multi-character word.
+def inword_negatives(text: str, lexicon: Lexicon) -> list[tuple[int, int]]:
+    """Ordered disjoint substring pairs of a word's running-text characters.
 
-    Both sides must be real dictionary words; the left substring ends
-    strictly before the right one starts.  Single-character words and
-    marker tokens yield nothing.
+    `text` is the word's entry in `Lexicon._texts`, which is empty for a
+    marker.  Both sides must be real dictionary words; the left substring
+    ends strictly before the right one starts.  A text shorter than two
+    characters yields nothing.
     """
-    if len(word) < 2 or word in MARKERS:
+    if len(text) < 2:
         return []
-    spans = lexicon.spans(word)
+    spans = lexicon.spans(text)
     return [(left, right) for _, end, left in spans for start, _, right in spans if start >= end]
 
 
@@ -162,8 +154,9 @@ def build_occurrence_batch(
     context word is a ValueError.
     """
     target = ids[i]
-    pos = positives(ids, i, window)
-    ctx = context_negatives(ids, i, window, lexicon)
+    left = ids[max(0, i - window):i]
+    right = ids[i + 1:i + 1 + window]
+    ctx = context_negatives(target, left, right, lexicon)
     memo = lexicon._inword
     inword = memo.get(target)
     if inword is None:
@@ -171,15 +164,16 @@ def build_occurrence_batch(
         # never starts with the target as every context and noise pair
         # does: deduplicated among themselves once per word, they meet no
         # other channel's pair.
-        inword = memo[target] = tuple(dict.fromkeys(inword_negatives(lexicon.word_of(target), lexicon)))
+        inword = memo[target] = tuple(dict.fromkeys(inword_negatives(lexicon._texts[target], lexicon)))
     seen = set(ctx)  # context negatives are distinct already
     noise: list[tuple[int, int]] = []
     for pair in noise_negatives(target, n_noise, rng, len(lexicon)):
         if pair not in seen:
             seen.add(pair)
             noise.append(pair)
-    w_neg = class_weights(len(pos), len(ctx) + len(inword) + len(noise), eta)
-    samples = [(t, o, CTX_POS, 1.0) for t, o in pos]
+    context = left + right
+    w_neg = class_weights(len(context), len(ctx) + len(inword) + len(noise), eta)
+    samples = [(target, c, CTX_POS, 1.0) for c in context]
     samples += [(t, o, CTX_NEG, w_neg) for t, o in ctx]
     samples += [(t, o, INWORD_NEG, w_neg) for t, o in inword]
     samples += [(t, o, NOISE_NEG, w_neg) for t, o in noise]

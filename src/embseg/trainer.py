@@ -206,9 +206,18 @@ def _stepper(rows: Sequence[np.ndarray]) -> Callable[[int, int, float], None]:
 
 
 def _repair_rows(emb: np.ndarray, rng: np.random.Generator, where: str) -> None:
-    """Re-randomize rows whose norm collapsed; training never divides by ~0."""
-    norms = np.linalg.norm(emb, axis=1)
-    bad = ~np.isfinite(norms) | (norms < _MIN_NORM)
+    """Re-randomize rows whose norm collapsed; training never divides by ~0.
+
+    A row whose norm is not finite, from a non-finite entry or a norm that
+    overflows, raises FloatingPointError: a NaN spreads to every row that
+    its row meets, so redrawing the rows it reached would hide a failed
+    training rather than mend it.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, raised on below
+        norms = np.linalg.norm(emb, axis=1)
+    if not np.isfinite(norms).all():
+        raise FloatingPointError(f"non-finite embedding entries ({where})")
+    bad = norms < _MIN_NORM
     if bad.any():
         ids = np.flatnonzero(bad)
         log.warning("re-randomizing %d degenerate embedding rows (%s): %s",
@@ -429,8 +438,6 @@ def train(
                     if batches % _SWEEP_EVERY == 0:
                         worker.meet()
                         _repair_rows(emb, rng, f"sweep at batch {batches}")
-                        if not np.isfinite(emb).all():
-                            raise FloatingPointError("non-finite embedding entries")
                 processed += len(ids)
         worker.meet()
     if not batches:
@@ -440,8 +447,6 @@ def train(
         )
 
     _repair_rows(emb, rng, "final sweep")
-    if not np.isfinite(emb).all():
-        raise FloatingPointError("non-finite embedding entries after training")
     return emb
 
 

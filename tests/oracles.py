@@ -2,10 +2,10 @@
 
 Each is the straightforward form of something the library computes
 faster or never needs: the objective's cosine and loss terms, one
-training step on a fresh table, a segmentation's score recomputed from
-scratch, a fragment's best segmentation by exhaustive enumeration, the
-inverse of the marker escape, and raw mixed-script lines for round-trip
-checks.  They live here, beside the tests that check the library
+training step on a fresh table, a word's score and a segmentation's
+score recomputed from scratch, a fragment's best segmentation by
+exhaustive enumeration, the inverse of the marker escape, and raw
+mixed-script lines for round-trip checks.  They live here, beside the tests that check the library
 against them, and not in the package's public surface.
 """
 from __future__ import annotations
@@ -64,19 +64,30 @@ def train_step(sample: TrainingSample, emb: np.ndarray, lr: float) -> None:
     _stepper(emb)(sample.target, sample.other, rate if sample.source == CTX_POS else -rate)
 
 
+def word_score(word: int, preds: Sequence[int], cache: SimilarityCache) -> float:
+    """Reference per-word score: the mean cosine of `word` to its non-empty
+    `preds`, as plain similarity calls added left to right from 0.0, so
+    it does not share the decoder's mean_similarity.  The explicit loop
+    keeps the decoder's rounding on every Python: from 3.12 on, `sum()`
+    compensates its rounding."""
+    total = 0.0
+    for p in preds:
+        total += cache.similarity(word, p)
+    return total / len(preds)
+
+
 def recompute_mean_logp(seg: Sequence[int], cache: SimilarityCache, window: int) -> float:
     """Reference scorer: evaluate a full segmentation from scratch.
 
     Used to verify that the incremental score kept by the beam matches a
-    batch recomputation; it sums plain similarity calls, so it does not
-    share the beam's mean_similarity.
+    batch recomputation; each word after the first scores `word_score`
+    against the up to `window` words before it.
     """
     if len(seg) < 2:
         return 0.0
     total = 0.0
     for i in range(1, len(seg)):
-        preds = seg[max(0, i - window):i]
-        total += sum(cache.similarity(seg[i], p) for p in preds) / len(preds)
+        total += word_score(seg[i], seg[max(0, i - window):i], cache)
     return total / (len(seg) - 1)
 
 

@@ -146,7 +146,8 @@ def test_criterion_02_context_negative_oracle():
         words = add_boundary_markers(sent)
         ids = [lex.id_of(w) for w in words]
         for i in range(len(words)):
-            got = context_negatives(ids, i, 4, lex)
+            lo, hi = max(0, i - 4), min(len(ids), i + 5)
+            got = context_negatives(ids[i], ids[lo:i], ids[i + 1:hi], lex)
             assert len(set(got)) == len(got)
             assert set(got) == oracle(words, i, 4, lex)
             checked += 1

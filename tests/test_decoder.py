@@ -22,7 +22,7 @@ from embseg.decoder import (
 from embseg.lexicon import Lexicon
 from embseg.simcache import SimilarityCache
 from embseg.trainer import init_embeddings
-from oracles import oracle_best, recompute_mean_logp
+from oracles import oracle_best, recompute_mean_logp, word_score
 
 
 def _make_lexicon(words):
@@ -42,15 +42,10 @@ def _table_cache(lex, default=0.0, overrides=None):
 
 
 def _ref_word_logp(word, recent, cache, window):
-    """Reference word score: plain similarity calls summed in order, so the
-    reference beams below do not share the decoder's mean_similarity."""
+    """Reference word score: `word_score` over the last `window` words, so
+    the reference beams below do not share the decoder's mean_similarity."""
     preds = recent[-window:]
-    if not preds:
-        return 0.0
-    total = 0.0
-    for p in preds:
-        total += cache.similarity(word, p)
-    return total / len(preds)
+    return word_score(word, preds, cache) if preds else 0.0
 
 
 class _Open(NamedTuple):

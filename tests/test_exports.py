@@ -30,7 +30,7 @@ PUBLIC = [
 
 # internal: the library still calls them, but no user of the package does
 UNEXPORTED = [
-    "Hypothesis", "word_spans", "positives", "context_negatives", "inword_negatives",
+    "Hypothesis", "word_spans", "context_negatives", "inword_negatives",
     "noise_negatives", "class_weights", "init_embeddings",
 ]
 # test oracles, now in tests/oracles.py
@@ -54,7 +54,7 @@ def test_every_all_entry_resolves(name):
 
 
 def test_package_exports_exactly_the_public_surface():
-    assert len(PUBLIC) == 33 and len(DROPPED) == 12
+    assert len(PUBLIC) == 33 and len(DROPPED) == 11
     assert sorted(embseg.__all__) == PUBLIC
 
 
@@ -78,6 +78,9 @@ def test_subsample_table_has_no_per_word_lookups():
     # tests read p_sub and keep_override at lexicon.id_of(word)
     assert not hasattr(SubsampleTable, "subsample_prob")
     assert not hasattr(SubsampleTable, "multichar_keep")
+    # nothing reads the lexicon or mu after construction, so it keeps neither
+    table = SubsampleTable(embseg.Lexicon(("ab", "a", "b"), (1, 2, 3)))
+    assert sorted(vars(table)) == ["keep_override", "p_sub"]
 
 
 def _has_docstring(obj) -> bool:

@@ -18,7 +18,6 @@ from embseg.sampler import (
     context_negatives,
     inword_negatives,
     noise_negatives,
-    positives,
 )
 
 
@@ -26,18 +25,33 @@ def _ids(lex, sent):
     return [lex.id_of(w) for w in add_boundary_markers(sent)]
 
 
+def _context(ids, i, window, lex):
+    """context_negatives over the window's two flanks, cut here."""
+    return context_negatives(ids[i], ids[max(0, i - window):i], ids[i + 1:i + 1 + window], lex)
+
+
+def _ctx_pos(ids, i, window, lex):
+    """The (target, other) pairs of a batch's ctx_pos samples, in order."""
+    batch = build_occurrence_batch(ids, i, lex, np.random.default_rng(0), window=window, n_noise=0)
+    return [(s.target, s.other) for s in batch if s.source == CTX_POS]
+
+
 def test_positives_window_and_edges():
-    sent = [10, 11, 12, 13, 14]
-    assert positives(sent, 2, 1) == [(12, 11), (12, 13)]
-    assert positives(sent, 0, 2) == [(10, 11), (10, 12)]
-    assert positives(sent, 4, 10) == [(14, 10), (14, 11), (14, 12), (14, 13)]
-    assert positives([7], 0, 4) == []
+    lex = Lexicon(("a", "b", "c", "d", "e", "f"), (1,) * 6)
+    sent = [0, 1, 2, 3, 4]
+    assert _ctx_pos(sent, 2, 1, lex) == [(2, 1), (2, 3)]
+    assert _ctx_pos(sent, 0, 2, lex) == [(0, 1), (0, 2)]  # clipped at the start
+    assert _ctx_pos(sent, 4, 2, lex) == [(4, 2), (4, 3)]  # clipped at the end
+    assert _ctx_pos(sent, 4, 10, lex) == [(4, 0), (4, 1), (4, 2), (4, 3)]
+    assert _ctx_pos(sent, 1, 10, lex) == [(1, 0), (1, 2), (1, 3), (1, 4)]
+    with pytest.raises(ValueError, match="at least one positive"):
+        _ctx_pos([5], 0, 4, lex)
 
 
 def test_context_negatives_flank_substring_case():
     lex = Lexicon.from_sentences([["今天", "天气", "w", "天天"]])
     ids = [lex.id_of(w) for w in (BOS, "今天", "天气", "w", EOS)]
-    out = context_negatives(ids, 3, 4, lex)
+    out = _context(ids, 3, 4, lex)
     # of all substrings of the flank 今天天气, only 天天 is a dictionary
     # word that is not itself a context word
     assert out == [(lex.id_of("w"), lex.id_of("天天"))]
@@ -47,17 +61,17 @@ def test_context_negatives_exclude_marker_text():
     # ⟨B is a dictionary word; if marker text leaked into the flank stream,
     # the left flank of x would contain ⟨B as a substring and emit it
     lex = Lexicon.from_sentences([["OS", "x"], ["⟨B", "q"]])
-    assert context_negatives(_ids(lex, ["OS", "x"]), 2, 4, lex) == []
+    assert _context(_ids(lex, ["OS", "x"]), 2, 4, lex) == []
 
 
 def test_context_negatives_never_emit_a_marker():
     # the flank "x⟨EOS⟩y" spells the end marker; it is text, not a word
     lex = Lexicon.from_sentences([["a", "b", "c", "d", "e", "x⟨EOS⟩y", "q", "r"], ["abcdef"]])
     ids = _ids(lex, ["a", "b", "c", "d", "e", "x⟨EOS⟩y", "q", "r"])
-    assert context_negatives(ids, ids.index(lex.id_of("q")), 1, lex) == []
+    assert _context(ids, ids.index(lex.id_of("q")), 1, lex) == []
     # nor when a real word starts with the marker's text
     lex = Lexicon.from_sentences([["⟨EOS⟩z", "q", "x⟨EOS⟩"]])
-    assert context_negatives(_ids(lex, ["⟨EOS⟩z", "q", "x⟨EOS⟩"]), 2, 1, lex) == []
+    assert _context(_ids(lex, ["⟨EOS⟩z", "q", "x⟨EOS⟩"]), 2, 1, lex) == []
 
 
 def test_inword_negatives_never_emit_a_marker():
@@ -74,9 +88,9 @@ def test_context_negatives_reach_the_longest_word():
     assert lex.longest == len(longest)
     expected = [(lex.id_of("x"), lex.id_of(longest))]
     left = _ids(lex, ["q", "天地人", "天地人", "x"])
-    assert context_negatives(left, 4, 4, lex) == expected
+    assert _context(left, 4, 4, lex) == expected
     right = _ids(lex, ["x", "天地人", "天地人", "q"])
-    assert context_negatives(right, 1, 4, lex) == expected
+    assert _context(right, 1, 4, lex) == expected
 
 
 def _oracle_context(words, i, window, lex):
@@ -107,7 +121,7 @@ def test_context_negatives_match_brute_force():
     for sent in sentences:
         words, ids = add_boundary_markers(sent), _ids(lex, sent)
         for i in range(len(words)):
-            got = context_negatives(ids, i, 4, lex)
+            got = _context(ids, i, 4, lex)
             assert len(set(got)) == len(got)
             assert set(got) == _oracle_context(words, i, 4, lex)
 
@@ -136,7 +150,8 @@ def test_inword_skips_out_of_dictionary_parts():
 def test_inword_short_words_and_markers():
     lex = Lexicon(("a", BOS), (1, 1))
     assert inword_negatives("a", lex) == []
-    assert inword_negatives(BOS, lex) == []
+    assert lex._texts[lex.id_of(BOS)] == ""
+    assert inword_negatives(lex._texts[lex.id_of(BOS)], lex) == []
 
 
 def test_inword_repeated_characters():
@@ -206,10 +221,9 @@ def test_enumerations_equal_brute_force(sentences, window):
     for sent in sentences:
         words, ids = add_boundary_markers(sent), _ids(lex, sent)
         for i, word in enumerate(words):
-            if word in MARKERS:
-                continue
-            assert context_negatives(ids, i, window, lex) == _brute_context(words, i, window, lex)
-            assert inword_negatives(word, lex) == _brute_inword(word, lex)
+            assert inword_negatives(lex._texts[ids[i]], lex) == _brute_inword(word, lex)
+            if word not in MARKERS:
+                assert _context(ids, i, window, lex) == _brute_context(words, i, window, lex)
 
 
 def test_noise_uniform_excludes_target():
@@ -323,11 +337,13 @@ def test_batch_sample_invariants():
 def _reference_batch(ids, i, lex, rng, window, n_noise, eta):
     """build_occurrence_batch from the public channels, every negative
     checked against all earlier ones, with no per-word memo."""
-    pos = positives(ids, i, window)
+    lo = max(0, i - window)
+    hi = min(len(ids), i + window + 1)
+    pos = [(ids[i], ids[j]) for j in range(lo, hi) if j != i]
     negs, seen = [], set()
     for src, pairs in (
-        (CTX_NEG, context_negatives(ids, i, window, lex)),
-        (INWORD_NEG, inword_negatives(lex.word_of(ids[i]), lex)),
+        (CTX_NEG, context_negatives(ids[i], ids[lo:i], ids[i + 1:hi], lex)),
+        (INWORD_NEG, inword_negatives(lex._texts[ids[i]], lex)),
         (NOISE_NEG, noise_negatives(ids[i], n_noise, rng, len(lex))),
     ):
         for pair in pairs:

@@ -320,6 +320,49 @@ def test_a_step_error_comes_out_of_train_and_no_worker_is_left(stepping, monkeyp
     assert _open_fds() == fds
 
 
+def test_a_non_finite_row_fails_training(stepping, monkeypatch):
+    # a NaN spreads to every row its row meets; the repair sweep must not
+    # redraw those rows and hand back a finite table
+    sentences, lex = _toy_corpus()
+    stepper = trainer._stepper
+
+    def poisoning_stepper(rows):
+        step = stepper(rows)
+        calls = itertools.count()
+
+        def poisoning(target, other, rate):
+            if next(calls) == 4:
+                rows[target][0] = np.nan
+            step(target, other, rate)
+
+        return poisoning
+
+    monkeypatch.setattr(trainer, "_stepper", poisoning_stepper)
+    fds = _open_fds()
+    with pytest.raises(FloatingPointError, match=r"^non-finite embedding entries \(final sweep\)$"):
+        train(sentences, lex, TrainerConfig(dim=8, seed=1, epsilon=1.0))
+    _no_child_left()
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflowing-norm"])
+def test_a_repair_raises_on_a_non_finite_norm(value):
+    emb = np.ones((3, 4))
+    emb[1, 2] = value
+    before = emb.tobytes()
+    with pytest.raises(FloatingPointError, match=r"^non-finite embedding entries \(here\)$"):
+        trainer._repair_rows(emb, np.random.default_rng(0), "here")
+    assert emb.tobytes() == before
+
+
+def test_a_repair_redraws_only_collapsed_rows():
+    emb = np.ones((3, 4))
+    emb[1] = 0.0
+    trainer._repair_rows(emb, np.random.default_rng(0), "here")
+    assert (emb[[0, 2]] == 1.0).all()
+    assert 0 < np.abs(emb[1]).max() <= 0.5 / 4
+
+
 @pytest.mark.parametrize("error", [RuntimeError("sink failed"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
 def test_a_caller_error_comes_out_of_train_and_no_worker_is_left(stepping, error):
